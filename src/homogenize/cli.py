@@ -224,7 +224,6 @@ def cmd_oracle(args) -> dict:
         seed=args.seed,
         tol=args.tol,
         keep_per_sample=bool(args.per_sample_csv),
-        threads=args.threads,
     )
     if args.per_sample_csv:
         with open(args.per_sample_csv, "w", newline="", encoding="utf-8") as fh:
@@ -376,12 +375,12 @@ def cmd_reproduce(args) -> dict:
 
     # Monte Carlo oracle
     kd = two_component(0.6, 1.4)
-    est = estimate_sigma_e(2, args.L, kd, samples=args.samples, seed=seed, threads=args.threads)
+    est = estimate_sigma_e(2, args.L, kd, samples=args.samples, seed=seed)
     target = float(np.sqrt(0.6 * 1.4))
     _check(checks, "mc_kd_mean", est.mean, target, 3.0 * est.stderr, stderr=est.stderr)
     _check(checks, "mc_kd_stderr", est.stderr, 0.0, 3e-3)
     sd = two_component(2.0, 0.5)
-    est_sd = estimate_sigma_e(2, args.L, sd, samples=args.samples, seed=seed + 1, threads=args.threads)
+    est_sd = estimate_sigma_e(2, args.L, sd, samples=args.samples, seed=seed + 1)
     _check(checks, "mc_selfdual_mean", est_sd.mean, 1.0, 3.0 * est_sd.stderr, stderr=est_sd.stderr)
     series_kd = sigma_e_series(kd, 2, 6, consts[2]).sigma_e
     _check(checks, "mc_vs_series", series_kd, est.mean, 3.0 * est.stderr)
@@ -462,7 +461,6 @@ def build_parser() -> _Parser:
         p.add_argument("--no-cache", action="store_true", help="bypass the kernel table cache")
         p.add_argument("--output", help="write the report to a file instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=1)
         if dist:
             p.add_argument("--dist", help="distribution JSON file")
         if table:

@@ -12,9 +12,36 @@ from homogenize import (
     estimate_sigma_e,
     sample_network,
     solve_corrector,
+    three_value,
     two_component,
 )
 from homogenize import resistor as resistor_mod
+
+
+def _dense_corrector(net, direction):
+    """Corrector potential and energy estimate from a dense least-squares solve."""
+    d, L = net.d, net.L
+    n = L**d
+    lap = np.zeros((n, n))
+    rhs = np.zeros(n)
+    bonds = []
+    for a in range(d):
+        for x in range(n):
+            coords = list(np.unravel_index(x, (L,) * d))
+            coords[a] = (coords[a] + 1) % L
+            y = int(np.ravel_multi_index(coords, (L,) * d))
+            c = net.conductances[a, x]
+            lap[x, x] += c
+            lap[y, y] += c
+            lap[x, y] -= c
+            lap[y, x] -= c
+            if a == direction - 1:
+                rhs[x] += c
+                rhs[y] -= c
+                bonds.append((x, y, c))
+    phi = np.linalg.lstsq(lap, rhs, rcond=None)[0]
+    estimate = np.mean([c * (1.0 + phi[y] - phi[x]) for x, y, c in bonds])
+    return phi, estimate
 
 
 class TestSampling:
@@ -76,6 +103,29 @@ class TestCorrector:
         sol = solve_corrector(net)
         assert abs(sol.phi.mean()) < 1e-12
 
+    @pytest.mark.parametrize("d, L", [(1, 8), (2, 6), (3, 4)])
+    @pytest.mark.parametrize("law", [two_component(0.6, 1.4), three_value(0.5, -1.0, 0.3)])
+    def test_matches_dense_least_squares(self, d, L, law):
+        for direction in range(1, d + 1):
+            net = sample_network(d, L, law, seed=31, sample_index=direction)
+            phi, estimate = _dense_corrector(net, direction)
+            sol = solve_corrector(net, direction=direction)
+            assert sol.estimate == pytest.approx(estimate, abs=1e-10)
+            assert np.allclose(sol.phi - sol.phi.mean(), phi - phi.mean(), rtol=0, atol=1e-9)
+
+    def test_iterations_do_not_grow_with_L(self):
+        law = two_component(0.6, 1.4)
+        small = solve_corrector(sample_network(2, 16, law, seed=3)).iterations
+        large = solve_corrector(sample_network(2, 128, law, seed=3)).iterations
+        assert large <= small + 5
+
+    def test_iteration_limit_raises_with_diagnostics(self):
+        net = sample_network(2, 8, two_component(0.6, 1.4), seed=3)
+        with pytest.raises(SolverError) as failure:
+            solve_corrector(net, tol=1e-20)
+        assert failure.value.iterations == 100 * 8 * 2
+        assert 0.0 < failure.value.residual < 1e-10
+
 
 class TestEstimator:
     def test_constant_dist(self):
@@ -83,13 +133,16 @@ class TestEstimator:
         assert est.mean == pytest.approx(1.5, abs=1e-12)
         assert est.stderr == pytest.approx(0.0, abs=1e-12)
 
-    def test_deterministic_and_thread_invariant(self):
-        kwargs = dict(samples=6, seed=21)
-        a = estimate_sigma_e(2, 12, two_component(0.6, 1.4), **kwargs)
-        b = estimate_sigma_e(2, 12, two_component(0.6, 1.4), **kwargs)
-        c = estimate_sigma_e(2, 12, two_component(0.6, 1.4), threads=2, **kwargs)
-        assert a.mean == b.mean == c.mean
-        assert a.stderr == b.stderr == c.stderr
+    def test_deterministic_and_equal_to_single_solves(self):
+        law = two_component(0.6, 1.4)
+        kwargs = dict(samples=6, seed=21, keep_per_sample=True)
+        a = estimate_sigma_e(2, 12, law, **kwargs)
+        b = estimate_sigma_e(2, 12, law, **kwargs)
+        assert a.per_sample == b.per_sample
+        assert a.mean == b.mean
+        assert a.stderr == b.stderr
+        for i, value in enumerate(a.per_sample):
+            assert value == solve_corrector(sample_network(2, 12, law, 21, i)).estimate
 
     def test_per_sample_kept_on_request(self):
         est = estimate_sigma_e(2, 8, two_component(0.6, 1.4), samples=4, seed=1,
@@ -120,6 +173,23 @@ class TestEstimator:
         assert est.skipped == 1
         assert est.samples == 3
         assert calls["n"] == 4
+
+    def test_unconverged_samples_are_skipped(self):
+        # tol=1e-20 lies below rounding, so a sample fails unless its
+        # right-hand side vanishes (direction-1 bonds constant along each
+        # axis-1 line, likely for this lopsided law at L=4)
+        law = two_component(0.6, 1.4, p1=0.95)
+        samples, seed = 12, 4
+        failures = 0
+        for i in range(samples):
+            try:
+                solve_corrector(sample_network(2, 4, law, seed, i), tol=1e-20)
+            except SolverError:
+                failures += 1
+        assert 2 <= failures <= samples - 2
+        est = estimate_sigma_e(2, 4, law, samples=samples, seed=seed, tol=1e-20)
+        assert est.skipped == failures
+        assert est.samples == samples - failures
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
