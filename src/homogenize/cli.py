@@ -215,6 +215,8 @@ def cmd_duality_check(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
+    if not 1e-13 <= args.tol < 1.0:  # below 1e-13 CG stalls at rounding; NaN fails too
+        raise ValueError(f"--tol must be a finite number in [1e-13, 1), got {args.tol}")
     dist = _load_dist(args)
     est = estimate_sigma_e(
         args.dim,

@@ -53,8 +53,8 @@ class Moments:
 class DistributionSpec:
     """A positive conductivity law: finitely many atoms, or raw moment input.
 
-    Atom input is validated (positive values, probabilities summing to 1) and
-    normalized to irreducible form: duplicate values merged, atoms sorted.
+    Atom input is validated (finite positive values and probabilities, summing
+    to 1) and normalized to irreducible form: duplicate values merged, atoms sorted.
     Raw moment input (mean, <u^n> list, u0 bound) supports laws without a
     finite atom representation; operations that need atoms raise
     CapabilityError for such laws.
@@ -71,10 +71,10 @@ class DistributionSpec:
             merged: dict[float, float] = {}
             for value, prob in self.atoms:
                 value, prob = float(value), float(prob)
-                if value <= 0.0:
-                    raise ValueError(f"conductivity values must be positive, got {value}")
-                if prob <= 0.0:
-                    raise ValueError(f"probabilities must be positive, got {prob}")
+                if not 0.0 < value < np.inf:
+                    raise ValueError(f"conductivities must be finite and positive, got {value}")
+                if not 0.0 < prob < np.inf:
+                    raise ValueError(f"probabilities must be finite and positive, got {prob}")
                 merged[value] = merged.get(value, 0.0) + prob
             total = sum(merged.values())
             if abs(total - 1.0) > _PROB_TOL:
@@ -85,8 +85,8 @@ class DistributionSpec:
         else:
             if self.raw_mean is None or self.raw_u_moments is None or self.raw_u0 is None:
                 raise ValueError("need atoms, or mean + u_moments + u0")
-            if self.raw_mean <= 0:
-                raise ValueError("mean conductivity must be positive")
+            if not 0.0 < self.raw_mean < np.inf:
+                raise ValueError("mean conductivity must be finite and positive")
             object.__setattr__(self, "raw_u_moments", tuple(float(m) for m in self.raw_u_moments))
 
     @property

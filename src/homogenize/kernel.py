@@ -5,11 +5,14 @@ integrand with a direction-dependent (but finite) limit at the origin of
 momentum space.  It is evaluated on the midpoint-shifted tensor grid
 lam = (j + 1/2)/N, which never touches the singular point, by attaching the
 half-step phases to the two sine factors and reading all shifts z off a
-single d-dimensional inverse FFT per (a, b) channel.
+d-dimensional inverse FFT.
 
-Key exact properties, used for storage and checked in tests:
+Only channels (1, 1) and (1, 2) are built and stored: by cubic symmetry
+G_aa(z) = G_11(z_a, other coordinates), G_ab(z) = G_12(z_a, z_b, other
+coordinates) for a < b, and G_ab(z) = G_ba(-z).
+
+Key exact properties, checked in tests:
   * G_aa(0) = -1/d  (machine-exact on the midpoint grid, by symmetry),
-  * G_ab(z) = G_ba(-z)  (only channels a <= b are stored),
   * in 2D, G_11(x, y) = -G_11(y, x) for (x, y) != 0.
 
 Lattice power sums over the stored box carry a tail estimate from a power
@@ -18,9 +21,11 @@ law fitted to the outermost shell sums; the fit is empirical, not a bound.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from dataclasses import dataclass
+import tempfile
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -38,17 +43,21 @@ DEFAULTS = {2: (512, 24), 3: (64, 8), 4: (32, 4), 5: (16, 3)}
 GRID_CAP = 2**25
 
 _MAGIC = b"GKTB"
-_VERSION = 1
+_VERSION = 2
+_HEADER = struct.Struct("<4sIIIIdd")
+#: The stored channels; `channel_array` derives all others from them.
+_BASE = ((1, 1), (1, 2))
 
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Kernel values on the box |z|_inf <= R for all channels a <= b.
+    """Kernel values on the box |z|_inf <= R for the base channels.
 
-    values maps (a, b) with 1 <= a <= b <= d to a (2R+1,)^d float array
-    indexed by z + R per axis.  quad_defect is the largest observed
-    difference against a doubled-resolution direct quadrature at probe
-    sites; est_tail estimates the |z| > R remainder of the square row sum
+    values maps (1, 1) and (1, 2) to a (2R+1,)^d float array indexed by
+    z + R per axis; `channel_array` and `gamma` reach every other channel
+    through them.  quad_defect is the largest observed difference against
+    a doubled-resolution direct quadrature at probe sites; est_tail
+    estimates the |z| > R remainder of the square row sum
     sum_a sum_z G_1a(z)^2.
     """
 
@@ -58,9 +67,6 @@ class KernelTable:
     values: dict[tuple[int, int], np.ndarray]
     quad_defect: float
     est_tail: float
-
-    def origin_index(self) -> tuple[int, ...]:
-        return (self.R,) * self.d
 
 
 class PowerSum(NamedTuple):
@@ -105,71 +111,59 @@ def build_kernel_table(d: int, N: int, R: int, probe_defect: bool = True) -> Ker
     s = np.sin(np.pi * x)
     t = s * np.exp(-1j * np.pi * x)  # sine factor with its half-step phase
 
-    denom = np.zeros((N,) * d)
-    for ax in range(d):
-        denom = denom + (s**2).reshape(_axis_shape(N, d, ax))
-
+    denom = sum((s**2).reshape(_axis_shape(N, d, ax)) for ax in range(d))
     idx = np.arange(-R, R + 1)
     sel = np.ix_(*([idx % N] * d))
     half_phase = np.exp(1j * np.pi * idx / N)
 
-    values: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(1, d + 1):
-        for b in range(a, d + 1):
-            g = t.reshape(_axis_shape(N, d, a - 1)) * np.conj(t).reshape(
-                _axis_shape(N, d, b - 1)
-            )
-            g = g / denom
-            box = np.fft.ifftn(g)[sel]
-            for ax in range(d):
-                box = box * half_phase.reshape(_axis_shape(2 * R + 1, d, ax))
-            values[(a, b)] = -np.ascontiguousarray(box.real)
+    values = {}
+    for a, b in _BASE:
+        g = t.reshape(_axis_shape(N, d, a - 1)) * np.conj(t).reshape(_axis_shape(N, d, b - 1))
+        box = np.fft.ifftn(g / denom)[sel]
+        for ax in range(d):
+            box = box * half_phase.reshape(_axis_shape(2 * R + 1, d, ax))
+        values[(a, b)] = -np.ascontiguousarray(box.real)
 
-    defect = 0.0
+    # G_1a for a >= 2 is an axis permutation of G_12, with the same shell sums
+    tail_11, tail_12 = (tail_corrected_sum(values[k] ** 2, R, d).tail for k in _BASE)
+    table = KernelTable(d, N, R, values, 0.0, float(tail_11 + (d - 1) * tail_12))
     if probe_defect:
-        defect = _probe_quad_defect(d, N, values, R)
-
-    tail = sum(
-        tail_corrected_sum(values[(1, a)] ** 2, R, d).tail for a in range(1, d + 1)
-    )
-    return KernelTable(
-        d=d, N=N, R=R, values=values, quad_defect=defect, est_tail=float(tail)
-    )
+        table = replace(table, quad_defect=_probe_quad_defect(table))
+    return table
 
 
 def _axis_shape(n: int, d: int, ax: int) -> tuple[int, ...]:
-    shape = [1] * d
-    shape[ax] = n
-    return tuple(shape)
+    return (1,) * ax + (n,) + (1,) * (d - 1 - ax)
 
 
-def _probe_quad_defect(d, N, values, R) -> float:
-    """Max |G_N - G_2N| over a few probe sites, via direct chunked sums."""
+def _probe_quad_defect(table: KernelTable) -> float:
+    """Max |G_N - G_2N| over a few probe sites, via direct folded sums."""
+    d = table.d
     probes = [(1,) + (0,) * (d - 1), (1, 1) + (0,) * (d - 2)]
     if d <= 3:
         probes.append((2, 1) + (0,) * (d - 2))
     channels = [(1, 1), (1, d)] if d <= 3 else [(1, 1)]
-    worst = 0.0
-    for a, b in channels:
-        for z in probes:
-            here = values[(a, b)][tuple(c + R for c in z)]
-            there = direct_quadrature(d, 2 * N, z, a, b)
-            worst = max(worst, abs(here - there))
-    return worst
+    return max(abs(gamma(table, a, b, z) - direct_quadrature(d, 2 * table.N, z, a, b))
+               for a, b in channels for z in probes)
 
 
 def direct_quadrature(d: int, N: int, z, a: int, b: int, chunk: int = 8) -> float:
     """Single-site kernel value by direct midpoint summation (no FFT).
 
-    Memory-bounded reference evaluation used for the N-vs-2N defect probes;
-    iterates over slabs of the leading axis.
+    Memory-bounded reference evaluation used for the N-vs-2N defect probes.
+    The grid and the denominator are symmetric under x -> 1 - x on each
+    axis, so the sum runs over x < 1/2 with every axis factor folded to
+    f(x) + f(1 - x) (exact, for even N), in slabs of the leading axis.
     """
+    if N % 2 != 0:
+        raise ValueError("resolution N must be even")
     z = tuple(int(c) for c in z)
-    x = (np.arange(N) + 0.5) / N
-    s = np.sin(np.pi * x)
-    t = s * np.exp(-1j * np.pi * x)
+    M = N // 2
+    x = (np.arange(M) + 0.5) / N
+    s2 = np.sin(np.pi * x) ** 2
 
-    def axis_factor(ax):
+    def axis_factor(ax, x):
+        t = np.sin(np.pi * x) * np.exp(-1j * np.pi * x)
         f = np.exp(2j * np.pi * x * z[ax])
         if ax == a - 1:
             f = f * t
@@ -177,29 +171,28 @@ def direct_quadrature(d: int, N: int, z, a: int, b: int, chunk: int = 8) -> floa
             f = f * np.conj(t)
         return f
 
-    tail_shape = (N,) * (d - 1)
-    denom_tail = np.zeros(tail_shape)
-    numer_tail = np.ones(tail_shape, dtype=complex)
-    for ax in range(1, d):
-        shp = _axis_shape(N, d - 1, ax - 1)
-        denom_tail = denom_tail + (s**2).reshape(shp)
-        numer_tail = numer_tail * axis_factor(ax).reshape(shp)
-
-    lead = axis_factor(0)
-    total = 0.0 + 0.0j
-    for i0 in range(0, N, chunk):
-        sl = slice(i0, min(i0 + chunk, N))
-        shp = (-1,) + (1,) * (d - 1)
-        dd = denom_tail[None, ...] + (s[sl] ** 2).reshape(shp)
-        total += np.sum(lead[sl].reshape(shp) * numer_tail[None, ...] / dd)
+    folded = [axis_factor(ax, x) + axis_factor(ax, 1 - x) for ax in range(d)]
+    shapes = [_axis_shape(M, d, ax) for ax in range(d)]
+    denom_tail = sum(s2.reshape(shp) for shp in shapes[1:])
+    numer_tail = math.prod(f.reshape(shp) for f, shp in zip(folded[1:], shapes[1:]))
+    lead, lead_s2 = folded[0].reshape(shapes[0]), s2.reshape(shapes[0])
+    total = sum(
+        np.sum(lead[i:i + chunk] * numer_tail / (denom_tail + lead_s2[i:i + chunk]))
+        for i in range(0, M, chunk)
+    )
     return float(-total.real / N**d)
 
 
-def gamma(table: KernelTable, alpha: int, beta: int, z) -> float:
-    """Stored kernel value G_alpha,beta(z); |z|_inf must be <= R.
+@lru_cache(maxsize=None)
+def _base_order(d: int, alpha: int, beta: int):
+    """Base channel of (alpha, beta), alpha <= beta, and the site order into it:
+    G_alpha,beta(z) = values[key][z[order[0]] + R, ..., z[order[d-1]] + R]."""
+    lead = (alpha - 1,) if alpha == beta else (alpha - 1, beta - 1)
+    return _BASE[len(lead) - 1], lead + tuple(ax for ax in range(d) if ax not in lead)
 
-    Uses G_ab(z) = G_ba(-z) so only half the channels are stored.
-    """
+
+def gamma(table: KernelTable, alpha: int, beta: int, z) -> float:
+    """Kernel value G_alpha,beta(z), |z|_inf <= R, read off its base channel."""
     d, R = table.d, table.R
     if not (1 <= alpha <= d and 1 <= beta <= d):
         raise ValueError(f"direction indices must lie in 1..{d}")
@@ -208,19 +201,21 @@ def gamma(table: KernelTable, alpha: int, beta: int, z) -> float:
         raise ValueError(f"site must have {d} coordinates")
     if any(abs(c) > R for c in z):
         raise ValueError(f"site {z} outside stored box |z|_inf <= {R}")
-    if alpha <= beta:
-        return float(table.values[(alpha, beta)][tuple(c + R for c in z)])
-    return float(table.values[(beta, alpha)][tuple(R - c for c in z)])
+    if alpha > beta:
+        alpha, beta, z = beta, alpha, tuple(-c for c in z)
+    key, order = _base_order(d, alpha, beta)
+    return float(table.values[key][tuple(z[ax] + R for ax in order)])
 
 
 def channel_array(table: KernelTable, alpha: int, beta: int) -> np.ndarray:
-    """Full box array for channel (alpha, beta), derived by symmetry if needed."""
+    """Full box array for channel (alpha, beta): a view of a base channel."""
     if not (1 <= alpha <= table.d and 1 <= beta <= table.d):
         raise ValueError(f"direction indices must lie in 1..{table.d}")
-    if alpha <= beta:
-        return table.values[(alpha, beta)]
-    arr = table.values[(beta, alpha)]
-    return arr[(slice(None, None, -1),) * table.d]
+    key, order = _base_order(table.d, min(alpha, beta), max(alpha, beta))
+    arr = table.values[key].transpose(np.argsort(order))
+    if alpha > beta:
+        arr = arr[(slice(None, None, -1),) * table.d]
+    return arr
 
 
 @lru_cache(maxsize=32)
@@ -285,43 +280,41 @@ def power_sum_quad_error(table: KernelTable, alpha: int, beta: int, p: int) -> f
 
 def save_table(table: KernelTable, path) -> None:
     """Write a table: header (magic, version, d, N, R, defect, tail) then the
-    stored channels in lexicographic (a, b) order as little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIII", _VERSION, table.d, table.N, table.R))
-        fh.write(struct.pack("<dd", table.quad_defect, table.est_tail))
-        for key in sorted(table.values):
-            fh.write(table.values[key].astype("<f8").tobytes(order="C"))
+    base channels (1, 1) and (1, 2) as little-endian float64.  The bytes go
+    to a temporary file that then replaces `path`, so no reader sees a part."""
+    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, table.d, table.N, table.R,
+                                  table.quad_defect, table.est_tail))
+            fh.write(np.asarray([table.values[k] for k in _BASE], dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path) -> KernelTable:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"not a kernel table file (magic {magic!r})")
-        version, d, N, R = struct.unpack("<IIII", fh.read(16))
-        if version != _VERSION:
-            raise ValueError(f"unsupported kernel table version {version}")
-        defect, tail = struct.unpack("<dd", fh.read(16))
-        shape = (2 * R + 1,) * d
-        count = int(np.prod(shape))
-        values = {}
-        for a in range(1, d + 1):
-            for b in range(a, d + 1):
-                buf = fh.read(8 * count)
-                if len(buf) != 8 * count:
-                    raise ValueError("truncated kernel table file")
-                values[(a, b)] = np.frombuffer(buf, dtype="<f8").astype(
-                    np.float64
-                ).reshape(shape)
+    """Read a table written by `save_table`."""
+    data = Path(path).read_bytes()
+    if data[:4] != _MAGIC:
+        raise ValueError(f"not a kernel table file (magic {data[:4]!r})")
+    _, version, d, N, R, defect, tail = _HEADER.unpack_from(data)
+    if version != _VERSION:
+        raise ValueError(f"unsupported kernel table version {version}")
+    # a header no build could write: N >= 8 and N^d <= GRID_CAP bound d
+    if not (2 <= d <= math.log(GRID_CAP, 8) and 1 <= R <= N // 2 - 1):
+        raise ValueError(f"corrupt kernel table header (d={d}, N={N}, R={R})")
+    shape = (len(_BASE),) + (2 * R + 1,) * d
+    arrays = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
+    if arrays.size != math.prod(shape):
+        raise ValueError("kernel table file has the wrong length (truncated?)")
+    values = dict(zip(_BASE, arrays.astype(np.float64).reshape(shape)))
     return KernelTable(d=d, N=N, R=R, values=values, quad_defect=defect, est_tail=tail)
 
 
 def cache_dir() -> Path:
-    env = os.environ.get("HOMOGENIZE_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "homogenize"
+    return Path(os.environ.get("HOMOGENIZE_CACHE_DIR") or Path.home() / ".cache" / "homogenize")
 
 
 def get_kernel_table(
@@ -330,7 +323,8 @@ def get_kernel_table(
     """Load a cached table for (d, N, R) or build and cache one.
 
     N and R default to the per-dimension table of DEFAULTS; dimensions
-    without an entry must be given explicitly.
+    without an entry must be given explicitly.  A missing, unreadable or
+    mismatched cache file is rebuilt and overwritten.
     """
     if N is None or R is None:
         if d not in DEFAULTS:
@@ -341,10 +335,12 @@ def get_kernel_table(
     if not cache:
         return build_kernel_table(d, N, R)
     path = cache_dir() / f"kernel_d{d}_N{N}_R{R}.bin"
-    if path.exists():
+    try:
         table = load_table(path)
         if (table.d, table.N, table.R) == (d, N, R):
             return table
+    except (OSError, ValueError, struct.error):
+        pass  # no usable cache file: rebuild and overwrite it
     table = build_kernel_table(d, N, R)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, path)

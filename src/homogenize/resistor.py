@@ -102,10 +102,12 @@ def solve_corrector(
     The Laplacian is singular with constant nullspace; the right-hand side
     is a discrete divergence, hence consistent, and any solution gives the
     same bond gradients.  CG stops once the relative residual falls below
-    `tol`; non-convergence within 100*L*d iterations raises SolverError
-    with the final residual attached.
+    `tol` (finite, > 0); non-convergence within 100*L*d iterations raises
+    SolverError with the final residual attached.
     """
     d, L = network.d, network.L
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if not 1 <= direction <= d:
         raise ValueError(f"direction must lie in 1..{d}")
     shape, axes = (L,) * d, tuple(range(d))

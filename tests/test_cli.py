@@ -150,6 +150,26 @@ class TestExitCodes:
         code = cli.main(["expand", "--dim", "3", "--order", "6", "--dist", kd_file])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "atom", ['{"value": Infinity, "prob": 0.5}', '{"value": 1.0, "prob": NaN}']
+    )
+    def test_non_finite_law_is_2(self, capsys, tmp_path, atom):
+        path = tmp_path / "bad.json"
+        path.write_text('{"atoms": [%s, {"value": 2.0, "prob": 0.5}]}' % atom)
+        code = cli.main(["expand", "--dim", "2", "--order", "4", "--dist", str(path)])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8", "1e-20", "1"])
+    def test_oracle_tol_out_of_range_is_2(self, capsys, kd_file, tol):
+        argv = ["oracle", "--dim", "2", "--L", "8", "--samples", "2", "--dist", kd_file]
+        assert cli.main(argv + [f"--tol={tol}"]) == 2
+        assert "--tol" in capsys.readouterr().err
+
+    def test_oracle_tol_floor_is_accepted(self, capsys, kd_file):
+        argv = ["oracle", "--dim", "2", "--L", "8", "--samples", "2", "--dist", kd_file]
+        assert cli.main(argv + ["--tol", "1e-13"]) == 0
+
     def test_capacity_error_is_3(self, capsys):
         code = cli.main(["kernel", "--dim", "6", "--resolution", "64", "--radius", "3"])
         assert code == 3

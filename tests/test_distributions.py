@@ -1,6 +1,7 @@
 """Laws, moments, duality transform, and the eps-series duality engine."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,27 @@ class TestValidation:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
             DistributionSpec(atoms=((1.0, 0.5), (2.0, 0.6)))
+
+    @given(
+        atoms=st.lists(
+            st.tuples(st.floats(0.1, 10.0), st.floats(0.01, 1.0)), min_size=0, max_size=4
+        ),
+        bad=st.sampled_from([math.inf, -math.inf, math.nan, -math.nan]),
+        good=st.floats(0.01, 10.0),
+        in_value=st.booleans(),
+        where=st.integers(0, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_atom_rejected(self, atoms, bad, good, in_value, where):
+        atom = (bad, good) if in_value else (good, bad)
+        atoms.insert(where % (len(atoms) + 1), atom)
+        with pytest.raises(ValueError, match="finite"):
+            DistributionSpec(atoms=tuple(atoms))
+
+    def test_non_finite_raw_mean_rejected(self):
+        for mean in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                DistributionSpec(raw_mean=mean, raw_u_moments=(0.01,), raw_u0=0.2)
 
     def test_duplicates_merged(self):
         d = DistributionSpec(atoms=((2.0, 0.25), (1.0, 0.5), (2.0, 0.25)))

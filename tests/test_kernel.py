@@ -1,5 +1,9 @@
 """Kernel quadrature: exact identities, symmetries, power sums, cache."""
 
+import itertools
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from homogenize import (
     CapacityError,
     build_kernel_table,
     channel_array,
+    dimension_constants,
     gamma,
     lattice_power_sum,
     load_table,
@@ -18,6 +23,74 @@ from homogenize.kernel import (
     shell_radii,
     tail_corrected_sum,
 )
+
+
+def _along(v, d, ax):
+    """1-D array v laid along axis ax of a d-dimensional grid."""
+    return v.reshape([v.size if i == ax else 1 for i in range(d)])
+
+
+def _channel_by_own_fft(d, N, R, a, b):
+    """G_ab on the box from a transform of its own integrand (any a, b)."""
+    x = (np.arange(N) + 0.5) / N
+    s = np.sin(np.pi * x)
+    t = s * np.exp(-1j * np.pi * x)
+    denom = sum(_along(s**2, d, ax) for ax in range(d))
+    g = _along(t, d, a - 1) * np.conj(_along(t, d, b - 1)) / denom
+    idx = np.arange(-R, R + 1)
+    box = np.fft.ifftn(g)[np.ix_(*([idx % N] * d))]
+    for ax in range(d):
+        box = box * _along(np.exp(1j * np.pi * idx / N), d, ax)
+    return -box.real
+
+
+def _full_grid_quadrature(d, N, z, a, b):
+    """Unfolded midpoint sum over all N^d points (small N only)."""
+    x = (np.arange(N) + 0.5) / N
+    t = np.sin(np.pi * x) * np.exp(-1j * np.pi * x)
+    numer, denom = 1.0, 0.0
+    for ax in range(d):
+        f = np.exp(2j * np.pi * x * z[ax])
+        if ax == a - 1:
+            f = f * t
+        if ax == b - 1:
+            f = f * np.conj(t)
+        numer = numer * _along(f, d, ax)
+        denom = denom + _along(np.sin(np.pi * x) ** 2, d, ax)
+    return float(-np.sum(numer / denom).real / N**d)
+
+
+def _assert_same_table(got, want):
+    assert (got.d, got.N, got.R) == (want.d, want.N, want.R)
+    assert got.quad_defect == want.quad_defect
+    assert got.est_tail == want.est_tail
+    assert sorted(got.values) == sorted(want.values)
+    for key, arr in want.values.items():
+        assert np.array_equal(got.values[key], arr)
+
+
+def _v1_file_bytes(table):
+    """The layout of format version 1: every channel a <= b, in (a, b) order."""
+    out = b"GKTB" + struct.pack("<IIII", 1, table.d, table.N, table.R)
+    out += struct.pack("<dd", table.quad_defect, table.est_tail)
+    for a in range(1, table.d + 1):
+        for b in range(a, table.d + 1):
+            out += np.ascontiguousarray(channel_array(table, a, b)).astype("<f8").tobytes()
+    return out
+
+
+#: (H, I1, I2, I, K5) at the default (N, R), pinned from a build that ran one
+#: FFT per channel a <= b and summed the unfolded 2N probe grid.
+PINNED_CONSTANTS = {
+    2: (1.0, 0.06391348772104183, 0.004396398462964813, 0.06830988618400664,
+        0.06830988618400664),
+    3: (0.9237824903392304, 0.012871714772907909, 0.0013639863658431177,
+        0.015599687504594145, 0.04887289690406229),
+    4: (0.8739836828235181, 0.004142939582854012, 0.0005405176103271446,
+        0.0057644924138354455, 0.027232987457952915),
+    5: (0.8442380226251048, 0.001717107236985753, 0.0002523981755237641,
+        0.0027266999390808096, 0.01612982328388148),
+}
 
 
 class TestOriginAndSymmetry:
@@ -110,6 +183,43 @@ class TestAccuracy:
         assert direct == pytest.approx(gamma(table2_small, 1, 1, z), abs=1e-12)
 
 
+class TestBaseChannels:
+    @pytest.mark.parametrize("d, N, R", [(2, 32, 5), (3, 16, 4), (4, 8, 3), (5, 8, 2)])
+    def test_every_channel_matches_its_own_fft(self, d, N, R):
+        table = build_kernel_table(d, N, R, probe_defect=False)
+        assert sorted(table.values) == [(1, 1), (1, 2)]
+        for a, b in itertools.product(range(1, d + 1), repeat=2):
+            want = _channel_by_own_fft(d, N, R, a, b)
+            assert np.max(np.abs(channel_array(table, a, b) - want)) <= 1e-15, (a, b)
+
+    def test_gamma_reads_the_derived_channel(self):
+        table = build_kernel_table(4, 8, 2, probe_defect=False)
+        sites = list(itertools.product(range(-2, 3), repeat=4))
+        for a, b in itertools.product(range(1, 5), repeat=2):
+            arr = channel_array(table, a, b)
+            for z in sites:
+                assert gamma(table, a, b, z) == arr[tuple(c + 2 for c in z)]
+
+    @pytest.mark.parametrize("d, N", [(2, 16), (3, 12), (4, 8)])
+    def test_folded_quadrature_matches_full_grid(self, d, N):
+        sites = [(1,) + (0,) * (d - 1), (-2, 1) + (0,) * (d - 2), (0, -1) + (3,) * (d - 2)]
+        for a, b in itertools.product(range(1, d + 1), repeat=2):
+            for z in sites:
+                folded = direct_quadrature(d, N, z, a, b)
+                assert abs(folded - _full_grid_quadrature(d, N, z, a, b)) <= 1e-15, (a, b, z)
+
+    def test_quadrature_needs_even_resolution(self):
+        with pytest.raises(ValueError, match="even"):
+            direct_quadrature(2, 15, (1, 0), 1, 1)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_constants_equal_pinned_values(self, d, request):
+        consts, _ = dimension_constants(table=request.getfixturevalue(f"table{d}"))
+        got = (consts.H, consts.I1, consts.I2, consts.I, consts.K5)
+        for name, value, want in zip(("H", "I1", "I2", "I", "K5"), got, PINNED_CONSTANTS[d]):
+            assert abs(value - want) <= 1e-14, name
+
+
 class TestValidationAndCapacity:
     def test_capacity_error(self):
         with pytest.raises(CapacityError, match="feasible N"):
@@ -173,6 +283,51 @@ class TestCache:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_table(path)
+
+    def test_file_holds_the_two_base_channels(self, table2_small, tmp_path):
+        path = tmp_path / "table.bin"
+        save_table(table2_small, path)
+        box = (2 * table2_small.R + 1) ** 2
+        assert path.stat().st_size == 36 + 2 * 8 * box
+        assert [p.name for p in tmp_path.iterdir()] == ["table.bin"]
+
+    def test_failed_write_keeps_the_old_file(self, table2_small, tmp_path):
+        path = tmp_path / "table.bin"
+        save_table(table2_small, path)
+        # the header goes out, then the missing (1, 2) channel stops the write
+        broken = replace(table2_small, values={(1, 1): table2_small.values[(1, 1)]})
+        with pytest.raises(KeyError):
+            save_table(broken, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["table.bin"]
+        _assert_same_table(load_table(path), table2_small)
+
+    def test_failed_first_write_leaves_no_file(self, table2_small, tmp_path):
+        broken = replace(table2_small, values={(1, 1): table2_small.values[(1, 1)]})
+        with pytest.raises(KeyError):
+            save_table(broken, tmp_path / "table.bin")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "short_header", "v1_file", "bad_magic", "huge_d", "other_key"]
+    )
+    def test_unreadable_cache_file_heals(self, damage, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOMOGENIZE_CACHE_DIR", str(tmp_path))
+        path = tmp_path / "kernel_d3_N16_R4.bin"
+        fresh = build_kernel_table(3, 16, 4)
+        save_table(fresh, path)
+        data = path.read_bytes()
+        if damage == "other_key":
+            save_table(build_kernel_table(3, 16, 3, probe_defect=False), path)
+        else:
+            path.write_bytes({
+                "truncated": data[:-100],
+                "short_header": data[:20],
+                "v1_file": _v1_file_bytes(fresh),
+                "bad_magic": b"NOPE" + data[4:],
+                "huge_d": data[:8] + struct.pack("<I", 4_000_000_000) + data[12:],
+            }[damage])
+        _assert_same_table(get_kernel_table(3, 16, 4), fresh)
+        _assert_same_table(load_table(path), fresh)
 
     def test_get_kernel_table_uses_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOMOGENIZE_CACHE_DIR", str(tmp_path))

@@ -119,6 +119,14 @@ class TestCorrector:
         large = solve_corrector(sample_network(2, 128, law, seed=3)).iterations
         assert large <= small + 5
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        net = sample_network(2, 8, two_component(0.6, 1.4), seed=3)
+        with pytest.raises(ValueError, match="tol"):
+            solve_corrector(net, tol=tol)
+        with pytest.raises(ValueError, match="tol"):  # not counted as skipped samples
+            estimate_sigma_e(2, 8, two_component(0.6, 1.4), samples=3, seed=3, tol=tol)
+
     def test_iteration_limit_raises_with_diagnostics(self):
         net = sample_network(2, 8, two_component(0.6, 1.4), seed=3)
         with pytest.raises(SolverError) as failure:
