@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import DimensionConstants
 from .distributions import DistributionSpec, moments
-from .errors import CapabilityError
+from .errors import CapabilityError, SolverError
 from .expansion import (
     ExpansionCoefficients,
     SeriesResult,
@@ -26,6 +26,7 @@ from .expansion import (
 )
 
 _BISECT_REL_WIDTH = 1e-3
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,14 @@ def solve_bruggeman(dist: DistributionSpec, d: int, tol: float = 1e-12) -> Brugg
 
     Works for d >= 1; at d = 1 the root is the harmonic mean.  Bisection
     shrinks the bracket [min sigma, max sigma] to relative width 1e-3, then
-    Newton (clamped to the bracket) polishes to relative tolerance tol.
+    Newton (clamped to the bracket) polishes to relative tolerance tol; a
+    polish that has not met tol after _NEWTON_STEPS steps raises SolverError.
     """
     dist._require_atoms("solve_bruggeman")
     if d < 1:
         raise ValueError("dimension must be >= 1")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite positive number, got {tol}")
     v = dist.values()
     p = dist.probs()
     delta = d - 1.0
@@ -88,14 +92,22 @@ def solve_bruggeman(dist: DistributionSpec, d: int, tol: float = 1e-12) -> Brugg
             hi = mid
 
     x = 0.5 * (lo + hi)
-    for _ in range(100):
+    for _ in range(_NEWTON_STEPS):
         iterations += 1
         step = f(x) / fprime(x)
         x_new = min(max(x - step, lo), hi)
-        if abs(x_new - x) <= tol * x:
-            x = x_new
-            break
+        converged = abs(x_new - x) <= tol * x
         x = x_new
+        if converged:
+            break
+    else:
+        residual = f(x)
+        raise SolverError(
+            f"Bruggeman Newton polish did not reach tol={tol:g} in {_NEWTON_STEPS} steps "
+            f"(residual {residual:.3g})",
+            residual=residual,
+            iterations=iterations,
+        )
 
     mean = float(np.dot(p, v))
     return BruggemanResult(sigma_B=x, xi=x / mean, residual=f(x), iterations=iterations)

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 
 from .kernel import (
     KernelTable,
+    PowerSum,
+    _int_power,
+    gamma,
     get_kernel_table,
     lattice_power_sum,
     power_sum_quad_error,
@@ -43,10 +46,17 @@ def compute_H(table: KernelTable) -> tuple[float, float]:
     Equals 1 in 2D (odd cube sums cancel by antisymmetry) and is observed to
     decrease with dimension.
     """
-    d = table.d
-    ps = lattice_power_sum(table, 1, 1, 3)
-    value = -(d**3) * (ps.value + ps.tail)
-    err = d**3 * (power_sum_quad_error(table, 1, 1, 3) + 0.5 * abs(ps.tail))
+    return _h_from_cube(table.d, *_cube_sum(table))
+
+
+def _cube_sum(table: KernelTable) -> tuple[PowerSum, float]:
+    """The box sum of G_11(z)^3 with its tail, and its propagated quadrature error."""
+    return lattice_power_sum(table, 1, 1, 3), power_sum_quad_error(table, 1, 1, 3)
+
+
+def _h_from_cube(d: int, cube: PowerSum, quad: float) -> tuple[float, float]:
+    value = -(d**3) * (cube.value + cube.tail)
+    err = d**3 * (quad + 0.5 * abs(cube.tail))
     return float(value), float(err)
 
 
@@ -74,13 +84,19 @@ def compute_K5(constants: DimensionConstants, table: KernelTable) -> tuple[float
     The off-origin cube sum is taken directly from the table (it vanishes
     identically in 2D); I comes from `constants`.
     """
+    return _k5_from_cube(table, constants.I, constants.err["I"], *_cube_sum(table))
+
+
+def _k5_from_cube(
+    table: KernelTable, i: float, ei: float, cube: PowerSum, quad: float
+) -> tuple[float, float]:
     d = table.d
-    ps = lattice_power_sum(table, 1, 1, 3, include_origin=False)
-    s3 = ps.value + ps.tail
-    value = 3.0 * (d - 2) / d**4 + constants.I - (4.0 / d) * s3
-    err = constants.err["I"] + (4.0 / d) * (
-        power_sum_quad_error(table, 1, 1, 3) + 0.5 * abs(ps.tail)
-    )
+    # the off-origin sum is the box sum less the origin cube, with the same
+    # tail: bit for bit lattice_power_sum(table, 1, 1, 3, include_origin=False)
+    origin = _int_power(gamma(table, 1, 1, (0,) * d), 3)
+    s3 = (cube.value - origin) + cube.tail
+    value = 3.0 * (d - 2) / d**4 + i - (4.0 / d) * s3
+    err = ei + (4.0 / d) * (quad + 0.5 * abs(cube.tail))
     return float(value), float(err)
 
 
@@ -113,16 +129,9 @@ def dimension_constants(
         if d is None:
             raise ValueError("pass a dimension or a prebuilt table")
         table = get_kernel_table(d, N=N, R=R, cache=cache)
-    h, eh = compute_H(table)
+    cube = _cube_sum(table)  # shared by H and K5
+    h, eh = _h_from_cube(table.d, *cube)
     i1, e1, i2, e2, i, ei = compute_I(table)
-    partial = DimensionConstants(
-        d=table.d, H=h, I1=i1, I2=i2, I=i, K5=float("nan"),
-        err={"H": eh, "I1": e1, "I2": e2, "I": ei, "K5": float("nan")},
-    )
-    k5, ek5 = compute_K5(partial, table)
-    err = dict(partial.err)
-    err["K5"] = ek5
-    return (
-        DimensionConstants(d=table.d, H=h, I1=i1, I2=i2, I=i, K5=k5, err=err),
-        table,
-    )
+    k5, ek5 = _k5_from_cube(table, i, ei, *cube)
+    err = {"H": eh, "I1": e1, "I2": e2, "I": ei, "K5": ek5}
+    return DimensionConstants(d=table.d, H=h, I1=i1, I2=i2, I=i, K5=k5, err=err), table

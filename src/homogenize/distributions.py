@@ -25,6 +25,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .expansion import ExpansionCoefficients
 
 _PROB_TOL = 1e-12
+#: Relative room for rounding in |<u^n>|^(1/n) <= u0, so that the moments of
+#: an atomic law, passed as raw input with their u0, are accepted.
+_MOMENT_BOUND_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,9 +58,11 @@ class DistributionSpec:
 
     Atom input is validated (finite positive values and probabilities, summing
     to 1) and normalized to irreducible form: duplicate values merged, atoms sorted.
-    Raw moment input (mean, <u^n> list, u0 bound) supports laws without a
-    finite atom representation; operations that need atoms raise
-    CapabilityError for such laws.
+    Raw moment input (mean, <u^n> list from n = 2, u0 bound) supports laws
+    without a finite atom representation; operations that need atoms raise
+    CapabilityError for such laws.  It is validated too: a finite positive
+    mean, a finite u0 >= 0, finite moments, even moments >= 0 and
+    |<u^n>| <= u0^n.
     """
 
     atoms: tuple[tuple[float, float], ...] | None = None
@@ -87,7 +92,20 @@ class DistributionSpec:
                 raise ValueError("need atoms, or mean + u_moments + u0")
             if not 0.0 < self.raw_mean < np.inf:
                 raise ValueError("mean conductivity must be finite and positive")
-            object.__setattr__(self, "raw_u_moments", tuple(float(m) for m in self.raw_u_moments))
+            u0 = float(self.raw_u0)
+            u_moments = tuple(float(m) for m in self.raw_u_moments)
+            if not 0.0 <= u0 < np.inf:
+                raise ValueError(f"u0 must be finite and >= 0, got {u0}")
+            for n, m in enumerate(u_moments, start=2):
+                if not np.isfinite(m):
+                    raise ValueError(f"<u^{n}> must be finite, got {m}")
+                if n % 2 == 0 and m < 0.0:
+                    raise ValueError(f"even moment <u^{n}> must be >= 0, got {m}")
+                # as roots, so that no power of u0 overflows or underflows
+                if abs(m) ** (1.0 / n) > u0 * (1.0 + _MOMENT_BOUND_RTOL):
+                    raise ValueError(f"|<u^{n}>| = {abs(m)} exceeds u0^{n} with u0 = {u0}")
+            object.__setattr__(self, "raw_u0", u0)
+            object.__setattr__(self, "raw_u_moments", u_moments)
 
     @property
     def has_atoms(self) -> bool:

@@ -28,7 +28,7 @@ import numpy as np
 from . import lattice
 from .distributions import Moments
 from .errors import CapabilityError
-from .kernel import KernelTable, channel_array, gamma, tail_corrected_sum
+from .kernel import KernelTable, _int_power, channel_array, gamma, tail_corrected_sum
 
 MAX_K = 5
 
@@ -266,10 +266,10 @@ def _accumulate(k: int, table: KernelTable, R: int | None, provider):
         site_err = 0.0
         for alpha in directions:
             ch = _restricted_channel(table, alpha, R)
-            ps = tail_corrected_sum(ch**n_cross, R, d, include_origin=(alpha != 1))
+            ps = tail_corrected_sum(_int_power(ch, n_cross), R, d, include_origin=(alpha != 1))
             scalar = g0**n_pin * gamma(table, alpha, alpha, (0,) * d) ** n_free
             site_sum += scalar * (ps.value + ps.tail)
-            quad = n_cross * table.quad_defect * float(np.sum(np.abs(ch) ** (n_cross - 1)))
+            quad = n_cross * table.quad_defect * float(np.sum(_int_power(np.abs(ch), n_cross - 1)))
             site_err += abs(scalar) * (0.5 * abs(ps.tail) + quad)
         total = total + cumulant * site_sum
         err = err + _abs(cumulant) * site_err

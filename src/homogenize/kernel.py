@@ -125,7 +125,7 @@ def build_kernel_table(d: int, N: int, R: int, probe_defect: bool = True) -> Ker
         values[(a, b)] = -np.ascontiguousarray(box.real)
 
     # G_1a for a >= 2 is an axis permutation of G_12, with the same shell sums
-    tail_11, tail_12 = (tail_corrected_sum(values[k] ** 2, R, d).tail for k in _BASE)
+    tail_11, tail_12 = (tail_corrected_sum(_int_power(values[k], 2), R, d).tail for k in _BASE)
     table = KernelTable(d, N, R, values, 0.0, float(tail_11 + (d - 1) * tail_12))
     if probe_defect:
         table = replace(table, quad_defect=_probe_quad_defect(table))
@@ -235,10 +235,10 @@ def tail_corrected_sum(
     """Box sum of `arr` plus a power-law tail extrapolated from shell sums.
 
     Shell sums s_r over |z|_inf = r for the outer `fit_shells` shells are
-    fitted to C * r^q (log-log least squares); the fitted tail
-    sum_{r > R} C r^q is returned alongside the raw box sum.  If the outer
-    shells change sign, or decay too slowly for the tail to converge, the
-    tail estimate is 0.
+    fitted to C * r^q (the closed-form least-squares line through the points
+    (log r, log |s_r|)); the fitted tail sum_{r > R} C r^q is returned
+    alongside the raw box sum.  If the outer shells change sign, or decay
+    too slowly for the tail to converge, the tail estimate is 0.
     """
     radii = shell_radii(R, d)
     shell_sums = np.bincount(radii.ravel(), weights=arr.ravel(), minlength=R + 1)
@@ -251,11 +251,32 @@ def tail_corrected_sum(
         rs = np.arange(R - fit_shells + 1, R + 1)
         sv = shell_sums[rs]
         if np.all(sv > 0) or np.all(sv < 0):
-            sign = np.sign(sv[0])
-            q, logc = np.polyfit(np.log(rs), np.log(np.abs(sv)), 1)
+            x, y = np.log(rs), np.log(np.abs(sv))
+            x_mean, y_mean = x.sum() / fit_shells, y.sum() / fit_shells
+            dx = x - x_mean
+            q = float(dx @ (y - y_mean) / (dx @ dx))
             if q < -1.0:  # else the extrapolated tail diverges; refuse
-                tail = float(sign * np.exp(logc) * zeta(-q, R + 1))
+                logc = y_mean - q * x_mean
+                tail = float(np.sign(sv[0]) * np.exp(logc) * zeta(-q, R + 1))
     return PowerSum(value, tail)
+
+
+def _int_power(x, p: int):
+    """x**p for an integer p >= 0 by repeated squaring, elementwise.
+
+    Every integer power of kernel values goes through here: a product costs
+    about 1 ns per element, libm `pow` (what `x ** p` calls for p > 2) about
+    70 ns.  The result can differ from `pow` in the last bits; for p == 1
+    it is `x` itself.
+    """
+    result = np.ones_like(x) if p == 0 else None
+    while p:
+        if p & 1:
+            result = x if result is None else result * x
+        p >>= 1
+        if p:
+            x = x * x
+    return result
 
 
 def lattice_power_sum(
@@ -264,14 +285,14 @@ def lattice_power_sum(
     """Sum of G_alpha,beta(z)^p over the stored box, with tail estimate."""
     if p < 2:
         raise ValueError("power p must be >= 2")
-    arr = channel_array(table, alpha, beta) ** p
+    arr = _int_power(channel_array(table, alpha, beta), p)
     return tail_corrected_sum(arr, table.R, table.d, include_origin=include_origin)
 
 
 def power_sum_quad_error(table: KernelTable, alpha: int, beta: int, p: int) -> float:
     """First-order propagation of the per-value quadrature defect into a power sum."""
     arr = np.abs(channel_array(table, alpha, beta))
-    return float(p * table.quad_defect * (arr ** (p - 1)).sum())
+    return float(p * table.quad_defect * _int_power(arr, p - 1).sum())
 
 
 # ---------------------------------------------------------------------------

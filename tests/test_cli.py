@@ -125,6 +125,16 @@ class TestCommands:
                 "--dist", kd_file)
         assert run(capsys, *args) == run(capsys, *args)
 
+    def test_calls_in_one_process_do_not_share_options(self, capsys, tmp_path):
+        out = tmp_path / "constants.json"
+        code, stdout = run(capsys, "constants", "--dim", "2", "--output", str(out))
+        assert code == 0 and stdout == ""
+        first = out.read_text()
+        code, stdout = run(capsys, "constants", "--dim", "2")
+        assert code == 0 and stdout == first  # --output did not carry over
+        assert cli.main(["constants", "--dim"]) == 1
+        assert run(capsys, "constants", "--dim", "2") == (0, first)
+
     def test_output_file(self, capsys, kd_file, tmp_path):
         out = tmp_path / "report.json"
         code, stdout = run(
@@ -159,6 +169,21 @@ class TestExitCodes:
         code = cli.main(["expand", "--dim", "2", "--order", "4", "--dist", str(path)])
         assert code == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "law, message",
+        [
+            ('{"u_moments": [NaN, 0.001], "mean": 1.0, "u0": 0.25}', "<u^2> must be finite"),
+            ('{"u_moments": [0.04, 0.001], "mean": 1.0, "u0": NaN}', "u0 must be finite"),
+            ('{"u_moments": [-0.5], "mean": 1.0, "u0": -1}', "u0 must be finite and >= 0"),
+        ],
+    )
+    def test_invalid_raw_moment_law_is_2(self, capsys, tmp_path, law, message):
+        path = tmp_path / "raw.json"
+        path.write_text(law)
+        code = cli.main(["expand", "--dim", "2", "--order", "3", "--dist", str(path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8", "1e-20", "1"])
     def test_oracle_tol_out_of_range_is_2(self, capsys, kd_file, tol):

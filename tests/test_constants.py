@@ -12,7 +12,7 @@ from homogenize import (
     h_strictly_decreasing,
     k5_via_H,
 )
-from homogenize.kernel import KernelTable
+from homogenize.kernel import KernelTable, lattice_power_sum
 
 
 class TestPublishedValues:
@@ -79,6 +79,16 @@ class TestFormulaReduction:
         assert h == pytest.approx(1.0, abs=1e-3)
         assert i == pytest.approx(i1 + i2, abs=1e-15)
         assert eh >= 0 and ei >= 0
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_shared_cube_sum_changes_no_bit(self, d, request):
+        table = request.getfixturevalue(f"table{d}")
+        consts, _ = dimension_constants(table=table)
+        assert (consts.H, consts.err["H"]) == compute_H(table)
+        assert (consts.K5, consts.err["K5"]) == compute_K5(consts, table)
+        off = lattice_power_sum(table, 1, 1, 3, include_origin=False)
+        s3 = off.value + off.tail
+        assert consts.K5 == 3.0 * (d - 2) / d**4 + consts.I - (4.0 / d) * s3
 
     def test_dimension_mismatch_guard(self, table3):
         consts, table = dimension_constants(table=table3)

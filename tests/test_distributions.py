@@ -130,6 +130,48 @@ class TestValidation:
             with pytest.raises(ValueError, match="finite"):
                 DistributionSpec(raw_mean=mean, raw_u_moments=(0.01,), raw_u0=0.2)
 
+    @given(
+        u_moments=st.lists(st.floats(-0.01, 0.01), min_size=1, max_size=5),
+        bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+        where=st.integers(0, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_raw_input_rejected(self, u_moments, bad, where):
+        u_moments = [abs(m) if n % 2 == 0 else m for n, m in enumerate(u_moments, start=2)]
+        if where == 5:  # in u0
+            kwargs = {"raw_u_moments": tuple(u_moments), "raw_u0": bad}
+        else:
+            u_moments.insert(where % (len(u_moments) + 1), bad)
+            kwargs = {"raw_u_moments": tuple(u_moments), "raw_u0": 0.45}
+        with pytest.raises(ValueError, match="finite"):
+            DistributionSpec(raw_mean=1.0, **kwargs)
+
+    @given(
+        vals=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_raw_moment_bounds(self, vals, seed, n):
+        rng = np.random.default_rng(seed)
+        m = moments(DistributionSpec(atoms=tuple(zip(vals, rng.dirichlet(np.ones(len(vals)))))), 6)
+
+        def raw(u0=m.u0, moment_n=None):
+            mom = list(m.u_moments[1:])
+            if moment_n is not None:
+                mom[n - 2] = moment_n
+            return DistributionSpec(raw_mean=m.mean_sigma, raw_u_moments=tuple(mom), raw_u0=u0)
+
+        raw()  # the moments of an atomic law pass with its own u0
+        past = 1.01 * m.u0**n + 1e-12
+        with pytest.raises(ValueError, match="exceeds"):
+            raw(moment_n=past if n % 2 == 0 else -past)
+        if n % 2 == 0:
+            with pytest.raises(ValueError, match="even moment"):
+                raw(moment_n=-m.u_moment(n) - 1e-12)
+        with pytest.raises(ValueError, match="u0"):
+            raw(u0=-m.u0 - 1e-12)
+
     def test_duplicates_merged(self):
         d = DistributionSpec(atoms=((2.0, 0.25), (1.0, 0.5), (2.0, 0.25)))
         assert d.atoms == ((1.0, 0.5), (2.0, 0.5))

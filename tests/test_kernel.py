@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from homogenize import (
     CapacityError,
@@ -20,6 +21,7 @@ from homogenize import (
 from homogenize.kernel import (
     direct_quadrature,
     get_kernel_table,
+    power_sum_quad_error,
     shell_radii,
     tail_corrected_sum,
 )
@@ -166,6 +168,26 @@ class TestPowerSums:
         with pytest.raises(ValueError):
             lattice_power_sum(table2_small, 1, 1, 1)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_power_sums_match_pow_reference(self, d, request):
+        # the sums take powers by repeated multiplication; `arr ** p` calls libm pow
+        table = request.getfixturevalue(f"table{d}")
+        for a, b in ((1, 1), (1, 2)):
+            arr = channel_array(table, a, b)
+            for p in range(2, 7):
+                ref = arr**p
+                ref_ps = tail_corrected_sum(ref, table.R, d)
+                # odd powers of G_12 cancel by symmetry to ~1e-20, where any two
+                # summation orders differ; so the bound is relative to sum |G|^p,
+                # which equals |sum G^p| wherever the sum does not cancel
+                scale = np.sum(np.abs(ref))
+                ps = lattice_power_sum(table, a, b, p)
+                assert abs(ps.value - np.sum(ref)) <= 1e-13 * scale, (a, b, p)
+                assert abs(ps.tail - ref_ps.tail) <= 1e-13 * scale, (a, b, p)
+                ref_err = p * table.quad_defect * np.sum(np.abs(arr) ** (p - 1))
+                err = power_sum_quad_error(table, a, b, p)
+                assert err == pytest.approx(ref_err, rel=1e-13, abs=0), (a, b, p)
+
 
 class TestAccuracy:
     def test_richardson_consistency_d2(self):
@@ -253,6 +275,32 @@ class TestShellMachinery:
         assert sh[0, 0] == 2
         assert sh[2, 3] == 1
         assert np.sum(sh == 1) == 8
+
+    @pytest.mark.parametrize("which, p", [("table2", 2), ("table2", 4), ("table3", 2),
+                                          ("table3", 4), ("table4", 2)])
+    def test_tail_fit_matches_polyfit(self, which, p, request):
+        table = request.getfixturevalue(which)
+        d, R = table.d, table.R
+        arr = channel_array(table, 1, 1) ** p
+        shells = np.bincount(shell_radii(R, d).ravel(), weights=arr.ravel())
+        rs = np.arange(R - 2, R + 1)
+        q, logc = np.polyfit(np.log(rs), np.log(np.abs(shells[rs])), 1)
+        assert q < -1.0  # a case the fit does not refuse
+        expected = np.sign(shells[R]) * np.exp(logc) * zeta(-q, R + 1)
+        assert tail_corrected_sum(arr, R, d).tail == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("c, q", [(0.3, -2.5), (-1.7e-4, -4.0), (2.0, -1.2)])
+    def test_tail_fit_recovers_power_law(self, c, q):
+        # one site per shell carries the whole shell sum c * r^q exactly
+        R, d = 6, 2
+        arr = np.zeros((2 * R + 1,) * d)
+        for r in range(1, R + 1):
+            arr[R + r, R] = c * r**q
+        expected = c * zeta(-q, R + 1)
+        assert tail_corrected_sum(arr, R, d).tail == pytest.approx(expected, rel=1e-12, abs=0)
+        for r in range(1, R + 1):
+            arr[R + r, R] = c * r**-0.8  # the tail would diverge: refused
+        assert tail_corrected_sum(arr, R, d).tail == 0.0
 
     def test_tail_sign_guard(self):
         # alternating shells must yield a zero tail estimate
