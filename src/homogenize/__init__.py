@@ -17,9 +17,6 @@ from .bruggeman import (
 )
 from .constants import (
     DimensionConstants,
-    compute_H,
-    compute_I,
-    compute_K5,
     dimension_constants,
     h_strictly_decreasing,
     k5_via_H,

@@ -3,13 +3,13 @@
 One subcommand per capability: kernel tables, dimension constants, series
 expansion, brute-force enumeration, Bruggeman root and comparison, duality
 checks, the Monte Carlo oracle, and `reproduce`, which reruns the headline
-numbers with tolerances and emits a machine-readable pass/fail report.
+numbers against their targets and tolerances and emits the pass/fail
+report the acceptance tests read.
 
-Exit codes: 1 usage error, 2 invalid input, 3 numerical failure.
-JSON is the canonical output; `--format csv` flattens the tabular commands
-(oracle, reproduce).  Kernel tables are cached on disk keyed by (d, N, R)
-under $HOMOGENIZE_CACHE_DIR (default ~/.cache/homogenize); `--no-cache`
-bypasses the cache.
+Every command writes JSON, to stdout or to `--output FILE`.  Exit codes:
+1 usage error, 2 invalid input, 3 numerical failure.  Kernel tables are
+cached on disk keyed by (d, N, R) under $HOMOGENIZE_CACHE_DIR (default
+~/.cache/homogenize).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 import time
@@ -65,9 +64,7 @@ def _poly_dict(poly) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args) -> dict:
-    consts, table = dimension_constants(
-        args.dim, N=args.resolution, R=args.radius, cache=not args.no_cache
-    )
+    consts, table = dimension_constants(args.dim, N=args.resolution, R=args.radius)
     return {
         "d": consts.d,
         "H": consts.H,
@@ -83,9 +80,7 @@ def cmd_constants(args) -> dict:
 
 
 def cmd_kernel(args) -> dict:
-    table = get_kernel_table(
-        args.dim, N=args.resolution, R=args.radius, cache=not args.no_cache
-    )
+    table = get_kernel_table(args.dim, N=args.resolution, R=args.radius)
     d = table.d
     row = [lattice_power_sum(table, 1, a, 2) for a in range(1, d + 1)]
     row_value = sum(p.value for p in row)
@@ -136,15 +131,13 @@ def _series_dict(s) -> dict:
 
 def cmd_expand(args) -> dict:
     dist = _load_dist(args)
-    consts, _ = dimension_constants(args.dim, cache=not args.no_cache)
+    consts, _ = dimension_constants(args.dim)
     series = sigma_e_series(dist, args.dim, args.order, consts)
     return {"d": args.dim} | _series_dict(series)
 
 
 def cmd_enumerate(args) -> dict:
-    table = get_kernel_table(
-        args.dim, N=args.resolution, R=args.radius, cache=not args.no_cache
-    )
+    table = get_kernel_table(args.dim, N=args.resolution, R=args.radius)
     eo = enumerate_order(args.k, table)
     out = {
         "d": args.dim,
@@ -184,7 +177,7 @@ def cmd_bruggeman(args) -> dict:
 
 def cmd_compare(args) -> dict:
     dist = _load_dist(args)
-    consts, _ = dimension_constants(args.dim, cache=not args.no_cache)
+    consts, _ = dimension_constants(args.dim)
     report = compare(dist, args.dim, consts)
     return {
         "d": args.dim,
@@ -198,7 +191,7 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_duality_check(args) -> dict:
-    consts, _ = dimension_constants(2, cache=not args.no_cache)
+    consts, _ = dimension_constants(2)
     coeffs = coefficients(2, 6, consts)
     probe = DualityProbe(p=args.p, alpha_ratio=args.alpha, order=args.order)
     res = duality_residual_series(probe, coeffs)
@@ -268,12 +261,16 @@ def _coef_tol(ref: float, pure: bool) -> float:
     return 1e-4 * abs(ref) if abs(ref) > 1e-3 else 1e-4
 
 
+#: Torus side and sample count of the two Monte Carlo runs of `reproduce`.
+_MC_L = 64
+_MC_SAMPLES = 200
+
+
 def cmd_reproduce(args) -> dict:
     seed = args.seed
-    cache = not args.no_cache
     checks: list[dict] = []
 
-    tables = {d: get_kernel_table(d, cache=cache) for d in (2, 3, 4, 5)}
+    tables = {d: get_kernel_table(d) for d in (2, 3, 4, 5)}
     consts = {d: dimension_constants(table=tables[d])[0] for d in (2, 3, 4, 5)}
 
     # kernel identities
@@ -378,12 +375,12 @@ def cmd_reproduce(args) -> dict:
 
     # Monte Carlo oracle
     kd = two_component(0.6, 1.4)
-    est = estimate_sigma_e(2, args.L, kd, samples=args.samples, seed=seed)
+    est = estimate_sigma_e(2, _MC_L, kd, samples=_MC_SAMPLES, seed=seed)
     target = float(np.sqrt(0.6 * 1.4))
     _check(checks, "mc_kd_mean", est.mean, target, 3.0 * est.stderr, stderr=est.stderr)
     _check(checks, "mc_kd_stderr", est.stderr, 0.0, 3e-3)
     sd = two_component(2.0, 0.5)
-    est_sd = estimate_sigma_e(2, args.L, sd, samples=args.samples, seed=seed + 1)
+    est_sd = estimate_sigma_e(2, _MC_L, sd, samples=_MC_SAMPLES, seed=seed + 1)
     _check(checks, "mc_selfdual_mean", est_sd.mean, 1.0, 3.0 * est_sd.stderr, stderr=est_sd.stderr)
     series_kd = sigma_e_series(kd, 2, 6, consts[2]).sigma_e
     _check(checks, "mc_vs_series", series_kd, est.mean, 3.0 * est.stderr)
@@ -428,8 +425,8 @@ def cmd_reproduce(args) -> dict:
         "command": "reproduce",
         "seed": seed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "L": args.L,
-        "samples": args.samples,
+        "L": _MC_L,
+        "samples": _MC_SAMPLES,
         "checks": checks,
         "passed": len(checks) - failed,
         "failed": failed,
@@ -461,9 +458,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, dist=False, table=False):
-        p.add_argument("--no-cache", action="store_true", help="bypass the kernel table cache")
         p.add_argument("--output", help="write the report to a file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         if dist:
             p.add_argument("--dist", help="distribution JSON file")
         if table:
@@ -523,8 +518,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce", help="rerun the headline numbers with tolerances")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--L", type=int, default=64)
-    p.add_argument("--samples", type=int, default=200)
     common(p)
     p.set_defaults(func=cmd_reproduce)
 
@@ -532,22 +525,7 @@ def build_parser() -> _Parser:
 
 
 def _emit(payload: dict, args) -> None:
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        if "checks" in payload:
-            w.writerow(["name", "value", "target", "tol", "pass"])
-            for c in payload["checks"]:
-                w.writerow([c["name"], repr(c["value"]), repr(c["target"]), repr(c["tol"]), c["pass"]])
-        elif "mean" in payload:
-            w.writerow(["field", "value"])
-            for key, val in payload.items():
-                w.writerow([key, val])
-        else:
-            raise ValueError("csv output is only available for tabular commands")
-        text = buf.getvalue()
-    else:
-        text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

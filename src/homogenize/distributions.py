@@ -107,10 +107,6 @@ class DistributionSpec:
             object.__setattr__(self, "raw_u0", u0)
             object.__setattr__(self, "raw_u_moments", u_moments)
 
-    @property
-    def has_atoms(self) -> bool:
-        return self.atoms is not None
-
     def values(self) -> np.ndarray:
         self._require_atoms("values")
         return np.array([v for v, _ in self.atoms])
@@ -431,36 +427,58 @@ def recover_relations_order6(
 # file format
 # ---------------------------------------------------------------------------
 
-def distribution_from_dict(data: dict) -> DistributionSpec:
+def _json_number(value, field: str) -> float:
+    """A JSON number as a float; null, strings, lists and booleans are refused."""
+    # bool is a subclass of int: `true` must not read as 1.0
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {json.dumps(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{field} = {value} is too large for a float") from None
+
+
+def _number_field(obj: dict, key: str, field: str) -> float:
+    if key not in obj:
+        raise ValueError(f"{field} is missing")
+    return _json_number(obj[key], field)
+
+
+def _json_list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a list, got {json.dumps(value)}")
+    return value
+
+
+def distribution_from_dict(data) -> DistributionSpec:
     """Parse the JSON object format: {"atoms": [{"value", "prob"}...]} or
-    {"u_moments": [m2, m3, ...], "mean": s, "u0": b}."""
+    {"u_moments": [m2, m3, ...], "mean": s, "u0": b}.
+
+    Any other shape raises ValueError naming the field: a missing key, an
+    `atoms` or `u_moments` that is not a list, an atom that is not an
+    object, or a numeric field that is not a JSON number.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a distribution file must hold a JSON object, got {json.dumps(data)}")
     label = data.get("label", "")
     if "atoms" in data:
-        atoms = tuple((a["value"], a["prob"]) for a in data["atoms"])
-        return DistributionSpec(atoms=atoms, label=label)
+        atoms = []
+        for i, atom in enumerate(_json_list(data["atoms"], "atoms")):
+            if not isinstance(atom, dict):
+                raise ValueError(f"atoms[{i}] must be an object, got {json.dumps(atom)}")
+            atoms.append((_number_field(atom, "value", f"atoms[{i}].value"),
+                          _number_field(atom, "prob", f"atoms[{i}].prob")))
+        return DistributionSpec(atoms=tuple(atoms), label=label)
     if "u_moments" in data:
+        u_moments = _json_list(data["u_moments"], "u_moments")
         return DistributionSpec(
             atoms=None,
-            raw_mean=data["mean"],
-            raw_u_moments=tuple(data["u_moments"]),
-            raw_u0=data["u0"],
+            raw_mean=_number_field(data, "mean", "mean"),
+            raw_u_moments=tuple(_json_number(m, f"u_moments[{i}]") for i, m in enumerate(u_moments)),
+            raw_u0=_number_field(data, "u0", "u0"),
             label=label,
         )
     raise ValueError("distribution file needs an 'atoms' or 'u_moments' key")
-
-
-def distribution_to_dict(dist: DistributionSpec) -> dict:
-    if dist.atoms is not None:
-        out = {"atoms": [{"value": v, "prob": p} for v, p in dist.atoms]}
-    else:
-        out = {
-            "u_moments": list(dist.raw_u_moments),
-            "mean": dist.raw_mean,
-            "u0": dist.raw_u0,
-        }
-    if dist.label:
-        out["label"] = dist.label
-    return out
 
 
 def load_distribution(path) -> DistributionSpec:
@@ -469,6 +487,13 @@ def load_distribution(path) -> DistributionSpec:
 
 
 def save_distribution(dist: DistributionSpec, path) -> None:
+    """Write the JSON object format that `load_distribution` reads."""
+    if dist.atoms is not None:
+        data = {"atoms": [{"value": v, "prob": p} for v, p in dist.atoms]}
+    else:
+        data = {"u_moments": list(dist.raw_u_moments), "mean": dist.raw_mean, "u0": dist.raw_u0}
+    if dist.label:
+        data["label"] = dist.label
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(distribution_to_dict(dist), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")

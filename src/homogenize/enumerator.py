@@ -108,9 +108,6 @@ class MomentPolynomial:
             total += prod
         return total
 
-    def max_abs_coefficient(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def __repr__(self):
         body = ", ".join(f"{sig}: {coef:.6g}" for sig, coef in sorted(self.terms.items()))
         return f"MomentPolynomial({{{body}}})"

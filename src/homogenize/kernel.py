@@ -338,9 +338,7 @@ def cache_dir() -> Path:
     return Path(os.environ.get("HOMOGENIZE_CACHE_DIR") or Path.home() / ".cache" / "homogenize")
 
 
-def get_kernel_table(
-    d: int, N: int | None = None, R: int | None = None, cache: bool = True
-) -> KernelTable:
+def get_kernel_table(d: int, N: int | None = None, R: int | None = None) -> KernelTable:
     """Load a cached table for (d, N, R) or build and cache one.
 
     N and R default to the per-dimension table of DEFAULTS; dimensions
@@ -353,8 +351,6 @@ def get_kernel_table(
         dn, dr = DEFAULTS[d]
         N = N if N is not None else dn
         R = R if R is not None else dr
-    if not cache:
-        return build_kernel_table(d, N, R)
     path = cache_dir() / f"kernel_d{d}_N{N}_R{R}.bin"
     try:
         table = load_table(path)

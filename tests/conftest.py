@@ -1,18 +1,13 @@
-"""Shared fixtures: kernel tables, constants, and Monte Carlo runs.
+"""Shared fixtures: kernel tables and constants.
 
-The default-resolution tables and the L=64 oracle runs are session-scoped
-because several test modules (and most acceptance criteria) share them.
+The default-resolution tables are session-scoped because several test
+modules share them.
 """
 
 import numpy as np
 import pytest
 
-from homogenize import (
-    build_kernel_table,
-    dimension_constants,
-    estimate_sigma_e,
-    two_component,
-)
+from homogenize import build_kernel_table, dimension_constants
 from homogenize.kernel import DEFAULTS
 
 
@@ -60,22 +55,6 @@ def const4(table4):
 @pytest.fixture(scope="session")
 def const5(table5):
     return dimension_constants(table=table5)[0]
-
-
-@pytest.fixture(scope="session")
-def kd_dist():
-    return two_component(0.6, 1.4)
-
-
-@pytest.fixture(scope="session")
-def mc_kd(kd_dist):
-    """Criterion-6 run: d=2, L=64, 200 samples on the 0.6/1.4 law."""
-    return estimate_sigma_e(2, 64, kd_dist, samples=200, seed=7)
-
-
-@pytest.fixture(scope="session")
-def mc_selfdual():
-    return estimate_sigma_e(2, 64, two_component(2.0, 0.5), samples=200, seed=8)
 
 
 @pytest.fixture()

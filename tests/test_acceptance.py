@@ -1,34 +1,150 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
+The criteria read the report of `homogenize reproduce --seed 7`, run once
+per session; the report is the only place their numbers are computed.
+`GATES` pins every check of that report by name, in order, with its
+target and tolerance, so an edit to the report that drops, renames or
+loosens a gate fails here.
+
 Run with `pytest tests/test_acceptance.py -v` (add -s to see the lines for
 passing criteria as well; they are always shown for failures).
 """
 
 import json
+import math
 
-import numpy as np
 import pytest
 
-from homogenize import (
-    DistributionSpec,
-    DualityProbe,
-    cli,
-    coefficients,
-    compare,
-    duality_residual_series,
-    enumerate_order,
-    gamma,
-    lattice_power_sum,
-    max_order,
-    moments,
-    recover_relations_order4,
-    recover_relations_order6,
-    sigma_e_series,
-    solve_bruggeman,
-    three_value,
-    two_component,
-)
-from homogenize.constants import h_strictly_decreasing
+from homogenize import cli, coefficients, enumerate_order, k5_via_H, max_order
+
+
+def _three_stderr(check, report, ctx):
+    return 3.0 * check["stderr"]
+
+
+def _k5_via_h(d):
+    return lambda check, report, ctx: k5_via_H(ctx["consts"][d])
+
+
+def _k5_tol(d):
+    return lambda check, report, ctx: max(2.0 * ctx["consts"][d].err["K5"], 1e-9)
+
+
+def _closed_form(d, sig):
+    return lambda check, report, ctx: ctx["closed_form"][d].a[sig]
+
+
+def _coef_tol(d, k, sig):
+    """The larger of a floor (1e-6 for a pure moment; else 1e-4 relative, or
+    absolute near zero) and the summed enumerator and closed-form errors."""
+
+    def rule(check, report, ctx):
+        ref = ctx["closed_form"][d]
+        want = ref.a[sig]
+        if len(sig) == 1:
+            floor = 1e-6
+        else:
+            floor = 1e-4 * abs(want) if abs(want) > 1e-3 else 1e-4
+        return max(floor, ctx["enum_error"][d, k].coefficient(sig) + ref.err.get(sig, 0.0))
+
+    return rule
+
+
+def _enum_gates():
+    gates = {}
+    for d in (2, 3):
+        for k, sigs in ((2, [(2,)]), (3, [(3,)]), (4, [(2, 2), (4,)]), (5, [(2, 3), (5,)])):
+            for sig in sigs:
+                name = f"enum_d{d}_k{k}_a[{','.join(map(str, sig))}]"
+                gates[name] = (_closed_form(d, sig), _coef_tol(d, k, sig))
+    return gates
+
+
+def _kd(eps):
+    return math.sqrt(1.0 - eps**2)
+
+
+#: Every check of the report, in order: name -> (target, tol).  A number is
+#: pinned exactly; a function is the rule the report must follow, evaluated
+#: on the check, the report's checks by name and the error estimates the
+#: rule is built from.
+GATES = {
+    "gamma11_origin_d2": (-0.5, 1e-6),
+    "gamma11_origin_d3": (-1.0 / 3, 1e-6),
+    "row_square_sum_d2": (1.0 / 2, 1e-4),
+    "row_square_sum_d3": (1.0 / 3, 1e-4),
+    "offorigin_cube_sum_d2": (0.0, 1e-5),
+    "H2": (1.0, 1e-3),
+    "H3": (0.923, 5e-3),
+    "H4": (0.874, 5e-3),
+    "H5": (0.846, 5e-3),
+    "I1_d2": (0.06391, 5e-4),
+    "I2_d2": (0.00439, 5e-4),
+    "I_d2": (0.0683, 1e-3),
+    "H_strictly_decreasing": (1.0, 0.0),
+    **{f"K5_two_routes_d{d}": (_k5_via_h(d), _k5_tol(d)) for d in (2, 3, 4, 5)},
+    **_enum_gates(),
+    "duality_residual_max": (0.0, 1e-8),
+    "relations_order4_a3=0.25": (0.0, 1e-8),
+    "relations_order4_a3=0.4": (0.0, 1e-8),
+    "relations_order6": (0.0, 1e-8),
+    "kd_series_eps=0.1": (_kd(0.1), 2 * 0.1**8),
+    "kd_bruggeman_eps=0.1": (_kd(0.1), 1e-10),
+    "kd_series_eps=0.2": (_kd(0.2), 2 * 0.2**8),
+    "kd_bruggeman_eps=0.2": (_kd(0.2), 1e-10),
+    "kd_series_eps=0.4": (_kd(0.4), 2 * 0.4**8),
+    "kd_bruggeman_eps=0.4": (_kd(0.4), 1e-10),
+    "mc_kd_mean": (math.sqrt(0.6 * 1.4), _three_stderr),
+    "mc_kd_stderr": (0.0, 3e-3),
+    "mc_selfdual_mean": (1.0, _three_stderr),
+    "mc_vs_series": (
+        lambda check, report, ctx: report["mc_kd_mean"]["value"],
+        lambda check, report, ctx: 3.0 * report["mc_kd_mean"]["stderr"],
+    ),
+    "remainder_honesty_violations": (0.0, 0.0),
+    "comparison_sign_failures": (0.0, 0.0),
+}
+
+#: Extra fields that a check must carry with exactly these values.
+PINNED_FIELDS = {
+    "remainder_honesty_violations": {"cases": 80},  # 20 laws x orders 2..5
+    "comparison_sign_failures": {"cases": 17},
+}
+
+
+@pytest.fixture(scope="session")
+def reproduce_run(tmp_path_factory):
+    """One `reproduce --seed 7` run on an empty kernel cache: (cache dir, report)."""
+    work = tmp_path_factory.mktemp("reproduce")
+    cache, out = work / "cache", work / "report.json"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("HOMOGENIZE_CACHE_DIR", str(cache))
+        cli.main(["reproduce", "--seed", "7", "--output", str(out)])
+    return cache, json.loads(out.read_text())
+
+
+@pytest.fixture(scope="session")
+def report(reproduce_run):
+    return reproduce_run[1]
+
+
+@pytest.fixture(scope="session")
+def checks(report):
+    return {c["name"]: c for c in report["checks"]}
+
+
+@pytest.fixture(scope="session")
+def rule_inputs(table2, table3, const2, const3, const4, const5):
+    """The error estimates and closed-form coefficients the rules read."""
+    consts = {2: const2, 3: const3, 4: const4, 5: const5}
+    tables = {2: table2, 3: table3}
+    return {
+        "consts": consts,
+        "closed_form": {d: coefficients(d, max_order(d), consts[d]) for d in tables},
+        "enum_error": {
+            (d, k): enumerate_order(k, tables[d]).error for d in tables for k in (2, 3, 4, 5)
+        },
+    }
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -37,199 +153,115 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-def test_criterion_01_kernel_identities(table2, table3):
-    failures = []
-    details = []
-    for d, table in [(2, table2), (3, table3)]:
-        origin = gamma(table, 1, 1, (0,) * d)
-        details.append(f"G11(0|d={d})={origin:.8f}")
-        if abs(origin + 1.0 / d) > 1e-6:
-            failures.append(f"origin d={d}")
-        row = sum(
-            ps.value + ps.tail
-            for ps in (lattice_power_sum(table, 1, a, 2) for a in range(1, d + 1))
+def _gate_problems(name, checks, rule_inputs):
+    """What is wrong with one pinned check of the report: missing, moved
+    target or tolerance, a field changed, or a failed gate."""
+    if name not in checks:
+        return [f"{name}: missing from the report"]
+    check = checks[name]
+    problems = []
+    for field, pinned in zip(("target", "tol"), GATES[name]):
+        want = pinned(check, checks, rule_inputs) if callable(pinned) else pinned
+        if check[field] != float(want):
+            problems.append(f"{name}: {field} {check[field]!r}, pinned {float(want)!r}")
+    for field, want in PINNED_FIELDS.get(name, {}).items():
+        if check.get(field) != want:
+            problems.append(f"{name}: {field} {check.get(field)!r}, pinned {want!r}")
+    if not (check["pass"] and abs(check["value"] - check["target"]) <= check["tol"]):
+        problems.append(
+            f"{name}: value {check['value']:.6g} vs {check['target']:.6g} ± {check['tol']:.2g}"
         )
-        details.append(f"rowsum(d={d})={row:.8f}")
-        if abs(row - 1.0 / d) > 1e-4:
-            failures.append(f"row sum d={d}")
-    cube = lattice_power_sum(table2, 1, 1, 3, include_origin=False)
-    details.append(f"cube'(d=2)={cube.value + cube.tail:.2e}")
-    if abs(cube.value + cube.tail) > 1e-5:
-        failures.append("off-origin cube sum d=2")
-    _report(1, "kernel identities", not failures, "; ".join(details + failures))
+    return problems
 
 
-def test_criterion_02_published_constants(const2, const3, const4, const5):
-    targets = {
-        "H2": (const2.H, 1.0, 1e-3),
-        "H3": (const3.H, 0.923, 5e-3),
-        "H4": (const4.H, 0.874, 5e-3),
-        "H5": (const5.H, 0.846, 5e-3),
-        "I1": (const2.I1, 0.06391, 5e-4),
-        "I2": (const2.I2, 0.00439, 5e-4),
-        "I": (const2.I, 0.0683, 1e-3),
-    }
-    failures = [
-        f"{k}={v:.5f} (target {t}±{tol})"
-        for k, (v, t, tol) in targets.items()
-        if abs(v - t) > tol
-    ]
-    hs = [const2.H, const3.H, const4.H, const5.H]
-    monotone = h_strictly_decreasing(hs)
-    detail = (
-        ", ".join(f"{k}={v:.5f}" for k, (v, _, _) in targets.items())
-        + f"; H strictly decreasing: {monotone} {[round(h, 5) for h in hs]}"
-    )
-    _report(2, "published constants", not failures, detail if not failures else "; ".join(failures))
+def _criterion(num, title, names, checks, rule_inputs, detail):
+    """Print and assert one criterion over its named checks; `detail()`
+    describes a pass, and is called only once every check is present."""
+    problems = [p for name in names for p in _gate_problems(name, checks, rule_inputs)]
+    _report(num, title, not problems, "; ".join(problems) if problems else detail())
 
 
-def test_criterion_03_enumerator_vs_closed_form(table2, table3, const2, const3):
-    failures = []
-    checked = 0
-    for d, table, consts in [(2, table2, const2), (3, table3, const3)]:
-        ref = coefficients(d, 5, consts)
-        for k in (2, 3, 4, 5):
-            eo = enumerate_order(k, table)
-            for sig in (s for s in sorted(ref.a) if sum(s) == k):
-                got = eo.polynomial.coefficient(sig)
-                want = ref.a[sig]
-                if len(sig) == 1:
-                    tol = 1e-6
-                else:
-                    tol = max(
-                        1e-4 * abs(want) if abs(want) > 1e-3 else 1e-4,
-                        eo.error.coefficient(sig) + ref.err.get(sig, 0.0),
-                    )
-                checked += 1
-                if abs(got - want) > tol:
-                    failures.append(f"d={d} a{sig}: {got:.3e} vs {want:.3e} (tol {tol:.1e})")
-    _report(3, "enumerator matches closed form", not failures,
-            f"{checked} coefficients checked" if not failures else "; ".join(failures))
+def test_report_holds_exactly_the_pinned_gates(report):
+    names = [c["name"] for c in report["checks"]]
+    assert names == list(GATES)
+    assert (report["L"], report["samples"]) == (64, 200)
 
 
-def test_criterion_04_duality_relations(const2):
-    coeffs = coefficients(2, 6, const2)
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(10):
-        probe = DualityProbe(
-            p=float(rng.uniform(0.05, 0.45)),
-            alpha_ratio=float(rng.uniform(-3.0, 3.0)),
-            order=6,
-        )
-        res = duality_residual_series(probe, coeffs)
-        worst = max(worst, abs(res[2]), abs(res[4]), abs(res[6]))
-
-    ival = const2.I
-    rel4 = recover_relations_order4(0.25)
-    rel6 = recover_relations_order6(0.25, 1.0 / 16, ival)
-    rel_dev = max(
-        abs(rel4[(2, 2)] - 0.0),
-        abs(rel4[(4,)] + 0.125),
-        abs(rel6[(2, 2, 2)] - (1.5 * ival - 1.0 / 16)),
-        abs(rel6[(3, 3)] - (1.0 / 32 - ival)),
-        abs(rel6[(2, 4)] - (1.0 / 32 - 1.5 * ival)),
-        abs(rel6[(6,)] + 1.0 / 32),
-    )
-    ok = worst < 1e-8 and rel_dev < 1e-8
-    _report(4, "duality residuals and relation recovery", ok,
-            f"max residual {worst:.2e}, max relation deviation {rel_dev:.2e}")
+def test_criterion_01_kernel_identities(checks, rule_inputs):
+    names = ["gamma11_origin_d2", "gamma11_origin_d3", "row_square_sum_d2",
+             "row_square_sum_d3", "offorigin_cube_sum_d2"]
+    _criterion(1, "kernel identities", names, checks, rule_inputs,
+               lambda: "; ".join(f"{n}={checks[n]['value']:.8g}" for n in names))
 
 
-def test_criterion_05_keller_dykhne_closure(const2):
-    failures = []
-    details = []
-    for eps in (0.1, 0.2, 0.4):
-        dist = two_component(1.0 - eps, 1.0 + eps)
-        exact = float(np.sqrt(1.0 - eps * eps))
-        series = sigma_e_series(dist, 2, 6, const2).sigma_e
-        if abs(series - exact) > 2.0 * eps**8:
-            failures.append(f"series eps={eps}")
-        root = solve_bruggeman(dist, 2).sigma_B
-        if abs(root - exact) > 1e-10:
-            failures.append(f"root eps={eps}")
-        details.append(f"eps={eps}: |series-exact|={abs(series - exact):.2e}")
-    _report(5, "Keller-Dykhne closure", not failures, "; ".join(details + failures))
+def test_criterion_02_published_constants(checks, rule_inputs):
+    names = ["H2", "H3", "H4", "H5", "I1_d2", "I2_d2", "I_d2", "H_strictly_decreasing",
+             *(f"K5_two_routes_d{d}" for d in (2, 3, 4, 5))]
+    _criterion(2, "published constants", names, checks, rule_inputs,
+               lambda: ", ".join(f"{n}={checks[n]['value']:.5f}" for n in names[:7]))
+    hs = [checks[f"H{d}"]["value"] for d in (2, 3, 4, 5)]
+    assert checks["H_strictly_decreasing"]["H_values"] == hs
 
 
-def test_criterion_06_monte_carlo_oracle(mc_kd, mc_selfdual):
-    target = float(np.sqrt(0.6 * 1.4))
-    ok_kd = abs(mc_kd.mean - target) <= 3 * mc_kd.stderr and mc_kd.stderr < 3e-3
-    ok_sd = abs(mc_selfdual.mean - 1.0) <= 3 * mc_selfdual.stderr
-    detail = (
-        f"kd mean={mc_kd.mean:.6f}±{mc_kd.stderr:.6f} (target {target:.7f}); "
-        f"self-dual mean={mc_selfdual.mean:.6f}±{mc_selfdual.stderr:.6f}"
-    )
-    _report(6, "Monte Carlo oracle", ok_kd and ok_sd, detail)
+def test_criterion_03_enumerator_vs_closed_form(checks, rule_inputs):
+    names = [n for n in GATES if n.startswith("enum_")]
+    _criterion(3, "enumerator matches closed form", names, checks, rule_inputs,
+               lambda: f"{len(names)} coefficients checked")
 
 
-def test_criterion_07_expansion_vs_oracle(mc_kd, const2, kd_dist):
-    series = sigma_e_series(kd_dist, 2, 6, const2).sigma_e
-    gap = abs(series - mc_kd.mean)
-    ok = gap <= 3 * mc_kd.stderr
-    _report(7, "expansion agrees with oracle", ok,
-            f"|series-MC| = {gap:.2e} vs 3*stderr = {3 * mc_kd.stderr:.2e}")
+def test_criterion_04_duality_relations(checks, rule_inputs):
+    names = ["duality_residual_max", "relations_order4_a3=0.25",
+             "relations_order4_a3=0.4", "relations_order6"]
+    _criterion(4, "duality residuals and relation recovery", names, checks, rule_inputs,
+               lambda: f"max residual {checks[names[0]]['value']:.2e}, max relation "
+                       f"deviation {max(checks[n]['value'] for n in names[1:]):.2e}")
 
 
-def test_criterion_08_comparison_signs(const2, const3):
-    failures = []
-    for eps in (0.05, 0.1, 0.2):
-        rep = compare(two_component(1 - eps, 1 + eps), 3, const3)
-        if rep.predicted_sign != "positive":
-            failures.append(f"d3 eps={eps}: {rep.predicted_sign}")
-    for eps in (0.05, 0.15):
-        for p1 in (0.6, 0.7):
-            up = compare(two_component(1 - eps, 1 + eps, p1), 2, const2)
-            down = compare(two_component(1 + eps, 1 - eps, p1), 2, const2)
-            if up.predicted_sign != "positive":
-                failures.append(f"2d skew+ eps={eps} p={p1}")
-            if down.predicted_sign != "negative":
-                failures.append(f"2d skew- eps={eps} p={p1}")
-    for eps in (0.1, 0.2):
-        for p in (0.2, 0.3, 0.4):
-            rep = compare(three_value(eps, -1.0, p), 2, const2)
-            if rep.predicted_sign != "negative":
-                failures.append(f"2d sym eps={eps} p={p}")
-    _report(8, "comparison sign predictions", not failures,
-            "grid of 17 laws, u0 <= 0.2" if not failures else "; ".join(failures))
+def test_criterion_05_keller_dykhne_closure(checks, rule_inputs):
+    names = [f"kd_{kind}_eps={eps}" for eps in (0.1, 0.2, 0.4) for kind in ("series", "bruggeman")]
+    _criterion(5, "Keller-Dykhne closure", names, checks, rule_inputs,
+               lambda: "; ".join(f"{n}: |dev|={abs(checks[n]['value'] - checks[n]['target']):.2e}"
+                                 for n in names[::2]))
 
 
-def test_criterion_09_remainder_bound_honesty(const2):
-    rng = np.random.default_rng(7)
-    laws = []
-    while len(laws) < 20:
-        n = int(rng.integers(2, 5))
-        vals = 1.0 + rng.uniform(-0.3, 0.3, size=n)
-        probs = rng.dirichlet(np.ones(n))
-        dist = DistributionSpec(atoms=tuple(zip(vals, probs)))
-        if moments(dist, 2).u0 < 0.4:
-            laws.append(dist)
-    violations = 0
-    worst_ratio = 0.0
-    for dist in laws:
-        series = {n: sigma_e_series(dist, 2, n, const2) for n in range(2, 7)}
-        for n in range(2, 6):
-            step = abs(series[n].sigma_e - series[n + 1].sigma_e)
-            bound = series[n].remainder_bound
-            worst_ratio = max(worst_ratio, step / bound if bound > 0 else 0.0)
-            if step > bound:
-                violations += 1
-    _report(9, "remainder bound honesty", violations == 0,
-            f"20 laws, n=2..5; worst step/bound = {worst_ratio:.3f}")
+def test_criterion_06_monte_carlo_oracle(checks, rule_inputs):
+    names = ["mc_kd_mean", "mc_kd_stderr", "mc_selfdual_mean"]
+
+    def detail():
+        kd, sd = checks["mc_kd_mean"], checks["mc_selfdual_mean"]
+        return (f"kd mean={kd['value']:.6f}±{kd['stderr']:.6f} (target {kd['target']:.7f}); "
+                f"self-dual mean={sd['value']:.6f}±{sd['stderr']:.6f}")
+
+    _criterion(6, "Monte Carlo oracle", names, checks, rule_inputs, detail)
+    assert checks["mc_kd_stderr"]["value"] == checks["mc_kd_mean"]["stderr"]
 
 
-def test_criterion_10_reproduce_determinism(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HOMOGENIZE_CACHE_DIR", str(tmp_path / "cache"))
-    reports = []
-    for i in (1, 2):
-        out = tmp_path / f"report{i}.json"
-        code = cli.main(["reproduce", "--seed", "7", "--output", str(out)])
-        assert code == 0, f"reproduce run {i} exited {code}"
-        data = json.loads(out.read_text())
-        data.pop("timestamp")
-        reports.append(json.dumps(data, sort_keys=True))
-    identical = reports[0] == reports[1]
-    summary = json.loads(reports[0])
-    _report(10, "reproduce determinism", identical and summary["all_pass"],
-            f"{summary['passed']}/{summary['passed'] + summary['failed']} checks pass, "
-            f"reports identical: {identical}")
+def test_criterion_07_expansion_vs_oracle(checks, rule_inputs):
+    c = checks.get("mc_vs_series", {})
+    _criterion(7, "expansion agrees with oracle", ["mc_vs_series"], checks, rule_inputs,
+               lambda: f"|series-MC| = {abs(c['value'] - c['target']):.2e} "
+                       f"vs 3*stderr = {c['tol']:.2e}")
+
+
+def test_criterion_08_comparison_signs(checks, rule_inputs):
+    _criterion(8, "comparison sign predictions", ["comparison_sign_failures"], checks,
+               rule_inputs, lambda: "grid of 17 laws, u0 <= 0.2")
+
+
+def test_criterion_09_remainder_bound_honesty(checks, rule_inputs):
+    _criterion(9, "remainder bound honesty", ["remainder_honesty_violations"], checks,
+               rule_inputs, lambda: "20 laws, n=2..5")
+
+
+def test_criterion_10_reproduce_determinism(reproduce_run, tmp_path, monkeypatch):
+    cache, first = reproduce_run
+    monkeypatch.setenv("HOMOGENIZE_CACHE_DIR", str(cache))  # now warm
+    out = tmp_path / "report.json"
+    code = cli.main(["reproduce", "--seed", "7", "--output", str(out)])
+    second = json.loads(out.read_text())
+    first, second = dict(first), dict(second)
+    first.pop("timestamp"), second.pop("timestamp")
+    identical = json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    _report(10, "reproduce determinism", code == 0 and identical and second["all_pass"],
+            f"{second['passed']}/{second['passed'] + second['failed']} checks pass, "
+            f"exit {code}, reports identical: {identical}")

@@ -199,6 +199,37 @@ class TestExitCodes:
         code = cli.main(["kernel", "--dim", "6", "--resolution", "64", "--radius", "3"])
         assert code == 3
 
-    def test_csv_not_available_for_scalar_commands(self, capsys):
-        code = cli.main(["constants", "--dim", "2", "--format", "csv"])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "--dim", "2", "--format", "json"],
+            ["constants", "--dim", "2", "--no-cache"],
+            ["reproduce", "--L", "32"],
+        ],
+        ids=["format", "no_cache", "reproduce_L"],
+    )
+    def test_removed_options_are_usage_errors(self, capsys, argv):
+        assert cli.main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "law, field",
+        [
+            ('{"atoms": [{"value": 0.6}, {"value": 1.4, "prob": 0.5}]}', "atoms[0].prob"),
+            ('{"u_moments": [null], "mean": 1.0, "u0": 0.2}', "u_moments[0]"),
+            ('{"u_moments": [0.01], "mean": "1", "u0": 0.2}', "mean"),
+            ('{"atoms": 5}', "atoms"),
+            ("[1, 2]", "JSON object"),
+            ('{"atoms": [{"value": "0.6", "prob": 0.5}, {"value": 1.4, "prob": 0.5}]}',
+             "atoms[0].value"),
+            ('{"atoms": [{"value": true, "prob": 0.5}, {"value": 1.4, "prob": 0.5}]}',
+             "atoms[0].value"),
+        ],
+        ids=["missing_prob", "null_moment", "string_mean", "atoms_not_list",
+             "top_level_list", "string_value", "bool_value"],
+    )
+    def test_malformed_law_file_is_2(self, capsys, tmp_path, law, field):
+        path = tmp_path / "law.json"
+        path.write_text(law)
+        assert cli.main(["bruggeman", "--dim", "2", "--dist", str(path)]) == 2
+        assert field in capsys.readouterr().err

@@ -4,10 +4,6 @@ import numpy as np
 import pytest
 
 from homogenize import (
-    DimensionConstants,
-    compute_H,
-    compute_I,
-    compute_K5,
     dimension_constants,
     h_strictly_decreasing,
     k5_via_H,
@@ -66,26 +62,22 @@ class TestFormulaReduction:
             (a, b): np.zeros(shape) for a in range(1, d + 1) for b in range(a, d + 1)
         }
         table = KernelTable(d=d, N=16, R=R, values=values, quad_defect=0.0, est_tail=0.0)
-        consts = DimensionConstants(
-            d=d, H=0.0, I1=0.0, I2=0.0, I=0.0, K5=float("nan"),
-            err={"H": 0.0, "I1": 0.0, "I2": 0.0, "I": 0.0, "K5": 0.0},
-        )
-        value, _ = compute_K5(consts, table)
-        assert value == pytest.approx(3 * (d - 2) / d**4, abs=1e-15)
+        consts, _ = dimension_constants(table=table)
+        assert consts.I == 0.0
+        assert consts.K5 == pytest.approx(3 * (d - 2) / d**4, abs=1e-15)
 
     def test_compute_H_and_I_on_shared_table(self, table2):
-        h, eh = compute_H(table2)
-        i1, e1, i2, e2, i, ei = compute_I(table2)
-        assert h == pytest.approx(1.0, abs=1e-3)
-        assert i == pytest.approx(i1 + i2, abs=1e-15)
-        assert eh >= 0 and ei >= 0
+        consts, _ = dimension_constants(table=table2)
+        assert consts.H == pytest.approx(1.0, abs=1e-3)
+        assert consts.I == pytest.approx(consts.I1 + consts.I2, abs=1e-15)
+        assert consts.err["H"] >= 0 and consts.err["I"] >= 0
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_shared_cube_sum_changes_no_bit(self, d, request):
         table = request.getfixturevalue(f"table{d}")
         consts, _ = dimension_constants(table=table)
-        assert (consts.H, consts.err["H"]) == compute_H(table)
-        assert (consts.K5, consts.err["K5"]) == compute_K5(consts, table)
+        box = lattice_power_sum(table, 1, 1, 3)
+        assert consts.H == -(d**3) * (box.value + box.tail)
         off = lattice_power_sum(table, 1, 1, 3, include_origin=False)
         s3 = off.value + off.tail
         assert consts.K5 == 3.0 * (d - 2) / d**4 + consts.I - (4.0 / d) * s3
