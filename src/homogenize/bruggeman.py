@@ -60,8 +60,11 @@ def solve_bruggeman(dist: DistributionSpec, d: int, tol: float = 1e-12) -> Brugg
 
     Works for d >= 1; at d = 1 the root is the harmonic mean.  Bisection
     shrinks the bracket [min sigma, max sigma] to relative width 1e-3, then
-    Newton (clamped to the bracket) polishes to relative tolerance tol; a
-    polish that has not met tol after _NEWTON_STEPS steps raises SolverError.
+    Newton (clamped to the bracket) polishes until the root's error bound
+    (|f(x)| + rounding of f) / min |f'| over the bracket is at most tol * x.
+    A polish that has not met it after _NEWTON_STEPS steps raises
+    SolverError; at high contrast, where f' is tiny at the root, rounding
+    alone can keep the bound above tol.
     """
     dist._require_atoms("solve_bruggeman")
     if d < 1:
@@ -78,7 +81,8 @@ def solve_bruggeman(dist: DistributionSpec, d: int, tol: float = 1e-12) -> Brugg
     def fprime(x):
         return float(np.dot(p, -d * v / (v + delta * x) ** 2))
 
-    lo, hi = float(v.min()), float(v.max())
+    vmin, vmax = float(v.min()), float(v.max())
+    lo, hi = vmin, vmax
     iterations = 0
     if lo == hi:
         return BruggemanResult(sigma_B=lo, xi=1.0, residual=f(lo), iterations=0)
@@ -91,15 +95,21 @@ def solve_bruggeman(dist: DistributionSpec, d: int, tol: float = 1e-12) -> Brugg
         else:
             hi = mid
 
+    # The root error is at most (|f(x)| + rounding of f) / min |f'| over the
+    # bracket; |f'| does not increase with x, so that minimum is at hi.  Each
+    # ratio (v - x)/(v + (d-1) x) increases with v and decreases with x, so on
+    # the bracket its size is at most that of the smallest atom at hi or of
+    # the largest at lo; it carries <= 4 roundings, and the sum <= len(v).
+    slope = abs(fprime(hi))
+    ratio_max = max((hi - vmin) / (vmin + delta * hi), (vmax - lo) / (vmax + delta * lo))
+    round_off = (len(v) + 4) * np.finfo(float).eps * ratio_max
     x = 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
         iterations += 1
-        step = f(x) / fprime(x)
-        x_new = min(max(x - step, lo), hi)
-        converged = abs(x_new - x) <= tol * x
-        x = x_new
-        if converged:
+        residual = f(x)
+        if abs(residual) + round_off <= tol * x * slope:
             break
+        x = min(max(x - residual / fprime(x), lo), hi)
     else:
         residual = f(x)
         raise SolverError(
@@ -110,7 +120,7 @@ def solve_bruggeman(dist: DistributionSpec, d: int, tol: float = 1e-12) -> Brugg
         )
 
     mean = float(np.dot(p, v))
-    return BruggemanResult(sigma_B=x, xi=x / mean, residual=f(x), iterations=iterations)
+    return BruggemanResult(sigma_B=x, xi=x / mean, residual=residual, iterations=iterations)
 
 
 def bruggeman_coefficients(d: int, order: int) -> dict[tuple[int, ...], float]:

@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import zeta
 
 from .errors import CapacityError
 
@@ -74,14 +73,6 @@ class PowerSum(NamedTuple):
     tail: float   # signed shell-extrapolation estimate of the |z| > R remainder
 
 
-def feasible_resolution(d: int) -> int:
-    """Largest even N with N^d within the grid capacity."""
-    n = int(GRID_CAP ** (1.0 / d))
-    while n**d > GRID_CAP:  # float-root rounding can overshoot by one
-        n -= 1
-    return n - (n % 2)
-
-
 def build_kernel_table(d: int, N: int, R: int, probe_defect: bool = True) -> KernelTable:
     """Evaluate the kernel by midpoint quadrature and FFT readout.
 
@@ -102,9 +93,11 @@ def build_kernel_table(d: int, N: int, R: int, probe_defect: bool = True) -> Ker
     if R > N // 2 - 1:
         raise ValueError(f"R={R} too large for N={N} (need R <= N/2 - 1)")
     if N**d > GRID_CAP:
+        n = int(GRID_CAP ** (1.0 / d)) + 1  # the float root can be off by one either way
+        while n**d > GRID_CAP or n % 2:
+            n -= 1
         raise CapacityError(
-            f"N^d = {N**d:.3g} exceeds capacity {GRID_CAP:.3g}; "
-            f"feasible N <= {feasible_resolution(d)} for d={d}"
+            f"N^d = {N**d:.3g} exceeds capacity {GRID_CAP:.3g}; feasible N <= {n} for d={d}"
         )
 
     x = (np.arange(N) + 0.5) / N
@@ -257,8 +250,29 @@ def tail_corrected_sum(
             q = float(dx @ (y - y_mean) / (dx @ dx))
             if q < -1.0:  # else the extrapolated tail diverges; refuse
                 logc = y_mean - q * x_mean
-                tail = float(np.sign(sv[0]) * np.exp(logc) * zeta(-q, R + 1))
+                tail = float(np.sign(sv[0]) * np.exp(logc) * _hurwitz_zeta(-q, R + 1))
     return PowerSum(value, tail)
+
+
+#: Bernoulli numbers B2, B4, ..., B12.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+
+
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """Hurwitz zeta sum_{k >= 0} (a + k)^-s for s > 1 and a >= 2.
+
+    Eight terms are summed as they stand; the rest is the Euler-Maclaurin
+    tail at n = a + 8, with the corrections
+    B_2j / (2j)! * s (s+1) ... (s+2j-2) * n^(-s-2j+1) for j = 1..6.
+    """
+    n = a + 8
+    terms = [(a + k) ** -s for k in range(8)]
+    terms += [n ** (1 - s) / (s - 1), 0.5 * n**-s]
+    c = 0.5 * s * n ** (-s - 1)
+    for j, b in enumerate(_BERNOULLI, start=1):
+        terms.append(b * c)
+        c *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2) * n * n)
+    return math.fsum(terms)
 
 
 def _int_power(x, p: int):

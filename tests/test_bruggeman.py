@@ -1,6 +1,7 @@
 """Effective-medium root, its series, and the comparison with the expansion."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,38 @@ class TestRoot:
         assert exc.value.iterations > 100
         assert abs(exc.value.residual) < 1e-15
         assert "1e-16" in str(exc.value)
+
+    @pytest.mark.parametrize("lo, hi", [(1e-12, 1e12), (1e-6, 1e6)])
+    def test_root_hidden_by_rounding_raises(self, lo, hi):
+        # |f'| ~ 2 lo at the root 1, so a rounding of f near 1e-16 moves the
+        # root by far more than tol: the polish may not claim convergence
+        with pytest.raises(SolverError, match="did not reach"):
+            solve_bruggeman(two_component(lo, hi), 2)
+
+    def test_high_contrast_root_within_tol(self):
+        root = solve_bruggeman(two_component(1e-3, 1e3), 2)
+        assert abs(root.sigma_B - 1.0) <= 1e-12
+
+    def test_stop_is_an_error_bound(self, rng):
+        # exact rational f changes sign within tol * x of the returned root
+        tol = Fraction(1e-12)
+        laws = 0
+        while laws < 24:
+            n = int(rng.integers(2, 5))
+            values = 1.0 + rng.uniform(-0.35, 0.35, size=n)
+            probs = rng.dirichlet(np.ones(n))
+            if probs.min() < 0.02:
+                continue
+            laws += 1
+            dist = DistributionSpec(atoms=tuple(zip(values.tolist(), probs.tolist())))
+            atoms = [(Fraction(v), Fraction(p)) for v, p in zip(dist.values(), dist.probs())]
+            for d in (2, 3, 4, 5):
+                x = Fraction(solve_bruggeman(dist, d).sigma_B)
+
+                def f(y):
+                    return sum(p * (v - y) / (v + (d - 1) * y) for v, p in atoms)
+
+                assert f(x * (1 - tol)) >= 0 >= f(x * (1 + tol)), (dist, d)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
     def test_tol_must_be_finite_and_positive(self, tol):

@@ -1,10 +1,16 @@
 """CLI surface: output schemas, exit codes, determinism, file handling."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from homogenize import cli, constant, save_distribution, two_component
+import homogenize
+from homogenize import SigmaEstimate, cli, constant, save_distribution, two_component
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +201,29 @@ class TestExitCodes:
         argv = ["oracle", "--dim", "2", "--L", "8", "--samples", "2", "--dist", kd_file]
         assert cli.main(argv + ["--tol", "1e-13"]) == 0
 
+    def test_bruggeman_root_hidden_by_rounding_is_3(self, capsys, tmp_path):
+        path = tmp_path / "contrast.json"
+        save_distribution(two_component(1e-12, 1e12), path)
+        assert cli.main(["bruggeman", "--dim", "2", "--dist", str(path)]) == 3
+        assert "did not reach" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("skipped", [0, 1])
+    def test_skipped_monte_carlo_sample_fails_reproduce(self, monkeypatch, tmp_path, skipped):
+        # each stubbed estimate sits on its Keller-Dykhne target, so only a
+        # skipped sample can fail the Monte Carlo gates
+        def estimate(d, L, dist, samples, seed):
+            mean = math.sqrt(math.prod(dist.values()))
+            return SigmaEstimate(mean=mean, stderr=1e-4, samples=samples - skipped, L=L,
+                                 skipped=skipped)
+
+        monkeypatch.setattr(cli, "estimate_sigma_e", estimate)
+        out = tmp_path / "report.json"
+        assert cli.main(["reproduce", "--output", str(out)]) == (3 if skipped else 0)
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        failed = sorted(name for name, c in checks.items() if not c["pass"])
+        assert failed == (["mc_kd_mean", "mc_selfdual_mean"] if skipped else [])
+        assert checks["mc_kd_mean"]["skipped"] == checks["mc_selfdual_mean"]["skipped"] == skipped
+
     def test_capacity_error_is_3(self, capsys):
         code = cli.main(["kernel", "--dim", "6", "--resolution", "64", "--radius", "3"])
         assert code == 3
@@ -233,3 +262,29 @@ class TestExitCodes:
         path.write_text(law)
         assert cli.main(["bruggeman", "--dim", "2", "--dist", str(path)]) == 2
         assert field in capsys.readouterr().err
+
+
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from homogenize import cli
+law = sys.argv[1]
+runs = [["constants", "--dim", str(d)] for d in (2, 3, 4, 5)]
+runs += [["expand", "--dim", "2", "--order", "6", "--dist", law],
+         ["bruggeman", "--dim", "2", "--dist", law]]
+codes = [cli.main(argv) for argv in runs]
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None]
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_runtime_runs_without_scipy(kd_file, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    src = str(Path(homogenize.__file__).parents[1])
+    env = dict(os.environ, HOMOGENIZE_CACHE_DIR=str(cache),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, kd_file], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * 6, "scipy": []}

@@ -19,6 +19,8 @@ from homogenize import (
     save_table,
 )
 from homogenize.kernel import (
+    GRID_CAP,
+    _hurwitz_zeta,
     direct_quadrature,
     get_kernel_table,
     power_sum_quad_error,
@@ -247,6 +249,12 @@ class TestValidationAndCapacity:
         with pytest.raises(CapacityError, match="feasible N"):
             build_kernel_table(6, 64, 3)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_capacity_error_names_largest_feasible_resolution(self, d):
+        feasible = max(n for n in range(8, 6000, 2) if n**d <= GRID_CAP)
+        with pytest.raises(CapacityError, match=f"feasible N <= {feasible} for d={d}$"):
+            build_kernel_table(d, feasible + 2, 3)
+
     def test_odd_resolution(self):
         with pytest.raises(ValueError):
             build_kernel_table(2, 127, 4)
@@ -301,6 +309,12 @@ class TestShellMachinery:
         for r in range(1, R + 1):
             arr[R + r, R] = c * r**-0.8  # the tail would diverge: refused
         assert tail_corrected_sum(arr, R, d).tail == 0.0
+
+    def test_hurwitz_zeta_matches_scipy(self):
+        s = np.linspace(1.05, 12.0, 111)
+        for a in range(2, 60):
+            got = [_hurwitz_zeta(float(x), a) for x in s]
+            np.testing.assert_allclose(got, zeta(s, a), rtol=1e-14, atol=0, err_msg=f"a={a}")
 
     def test_tail_sign_guard(self):
         # alternating shells must yield a zero tail estimate
