@@ -40,7 +40,6 @@ from .distributions import (
     two_component,
 )
 from .enumerator import (
-    A_k,
     EnumeratedOrder,
     MomentPolynomial,
     PathFamily,

@@ -145,10 +145,7 @@ def bruggeman_coefficients(d: int, order: int) -> dict[tuple[int, ...], float]:
 def bruggeman_series(dist: DistributionSpec, d: int, order: int) -> SeriesResult:
     """Moment expansion of the Bruggeman root (no rigorous remainder bound)."""
     bmap = bruggeman_coefficients(d, order)
-    coeffs = ExpansionCoefficients(
-        d=d, order=order, a=bmap, err={sig: 0.0 for sig in bmap},
-        source_constants=None,
-    )
+    coeffs = ExpansionCoefficients(d=d, order=order, a=bmap, err={sig: 0.0 for sig in bmap})
     mom = moments(dist, order)
     return evaluate_series(coeffs, mom, with_bound=False)
 

@@ -36,7 +36,7 @@ from .distributions import (
     three_value,
     two_component,
 )
-from .enumerator import A_k, enumerate_order
+from .enumerator import enumerate_order
 from .errors import CapacityError, SolverError
 from .expansion import coefficients, max_order, sigma_e_series
 from .kernel import channel_array, gamma, get_kernel_table, lattice_power_sum
@@ -156,7 +156,7 @@ def cmd_enumerate(args) -> dict:
     if not args.symbolic:
         dist = _load_dist(args)
         mom = moments(dist, args.k)
-        out["value"] = A_k(args.k, table, moments=mom)
+        out["value"] = eo.polynomial.evaluate(mom)
     return out
 
 
@@ -170,7 +170,7 @@ def cmd_bruggeman(args) -> dict:
         "residual": root.residual,
         "iterations": root.iterations,
     }
-    if args.series_order:
+    if args.series_order is not None:
         out["series"] = _series_dict(bruggeman_series(dist, args.dim, args.series_order))
     return out
 

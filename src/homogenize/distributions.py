@@ -291,6 +291,8 @@ class DualityProbe:
     def __post_init__(self):
         if not 0.0 < self.p < 0.5:
             raise ValueError("p must lie in (0, 1/2)")
+        if not np.isfinite(self.alpha_ratio):
+            raise ValueError(f"alpha ratio must be finite, got {self.alpha_ratio}")
         if self.order % 2 != 0 or not 2 <= self.order <= 8:
             raise ValueError("order must be even and within 2..8")
 
@@ -347,7 +349,8 @@ def duality_residual_series(
 
     Returns all coefficients up to eps^order.  Orders beyond the expansion's
     truncation are not fully determined by the supplied coefficients and are
-    informational only.
+    informational only.  A residual that overflows (a huge alpha ratio) is
+    refused with ValueError rather than returned as inf or NaN.
     """
     if coeffs_2d.d != 2:
         raise CapabilityError("the duality identity holds only in 2D")
@@ -355,39 +358,45 @@ def duality_residual_series(
         raise CapabilityError(
             f"probe order {probe.order} needs coefficients beyond order {coeffs_2d.order}"
         )
-    return _three_value_residual(probe.p, probe.alpha_ratio, coeffs_2d.a, probe.order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = _three_value_residual(probe.p, probe.alpha_ratio, coeffs_2d.a, probe.order)
+    if not np.all(np.isfinite(res)):
+        raise ValueError(
+            f"duality residual overflows for p={probe.p}, alpha ratio {probe.alpha_ratio}"
+        )
+    return res
 
 
-_DEFAULT_PROBES = ((0.3, 2.0), (0.25, -1.0), (0.2, 3.0), (0.35, 0.5), (0.15, -2.0), (0.4, 1.5))
+_PROBES = ((0.3, 2.0), (0.25, -1.0), (0.2, 3.0), (0.35, 0.5), (0.15, -2.0), (0.4, 1.5))
 
 
 def solve_residual_relations(
     eps_power: int,
     fixed: dict[tuple[int, ...], float],
     unknowns: Iterable[tuple[int, ...]],
-    probes=_DEFAULT_PROBES,
 ) -> dict[tuple[int, ...], float]:
     """Solve for the coefficients that make the eps^eps_power residual vanish.
 
     The residual coefficient is affine in each unknown at its leading order,
     so finite differences against the zero setting give exact columns; the
-    resulting linear system over the probes is solved by least squares.
+    resulting linear system over six fixed (p, alpha) probes is solved by
+    least squares.
     """
     unknowns = list(unknowns)
-    if len(probes) < len(unknowns):
+    if len(_PROBES) < len(unknowns):
         raise ValueError("need at least as many probes as unknowns")
     base_map = dict(fixed)
     for sig in unknowns:
         base_map[sig] = 0.0
     rhs = np.array(
-        [_three_value_residual(p, a, base_map, eps_power)[eps_power] for p, a in probes]
+        [_three_value_residual(p, a, base_map, eps_power)[eps_power] for p, a in _PROBES]
     )
     cols = []
     for sig in unknowns:
         bumped = dict(base_map)
         bumped[sig] = 1.0
         col = np.array(
-            [_three_value_residual(p, a, bumped, eps_power)[eps_power] for p, a in probes]
+            [_three_value_residual(p, a, bumped, eps_power)[eps_power] for p, a in _PROBES]
         )
         cols.append(col - rhs)
     A = np.column_stack(cols)
@@ -395,16 +404,12 @@ def solve_residual_relations(
     return dict(zip(unknowns, x.tolist()))
 
 
-def recover_relations_order4(a3: float, probes=_DEFAULT_PROBES) -> dict:
+def recover_relations_order4(a3: float) -> dict:
     """Coefficients at total order 4 implied by duality, given a3."""
-    return solve_residual_relations(
-        4, {(2,): -0.5, (3,): a3}, [(4,), (2, 2)], probes
-    )
+    return solve_residual_relations(4, {(2,): -0.5, (3,): a3}, [(4,), (2, 2)])
 
 
-def recover_relations_order6(
-    a3: float, a5: float, a23: float, probes=_DEFAULT_PROBES
-) -> dict:
+def recover_relations_order6(a3: float, a5: float, a23: float) -> dict:
     """Coefficients at total order 6 implied by duality, given a3, a5, a23.
 
     The order-4 coefficients entering the cross terms are taken from the
@@ -418,9 +423,7 @@ def recover_relations_order6(
         (5,): a5,
         (2, 3): a23,
     }
-    return solve_residual_relations(
-        6, fixed, [(6,), (2, 4), (3, 3), (2, 2, 2)], probes
-    )
+    return solve_residual_relations(6, fixed, [(6,), (2, 4), (3, 3), (2, 2, 2)])
 
 
 # ---------------------------------------------------------------------------

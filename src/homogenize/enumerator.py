@@ -10,25 +10,25 @@ the lattice box and the directions.
 Families are generated as set partitions of the k positions into blocks of
 size >= 2 (one block per distinct bond) rather than hard-coded, and paths
 whose cumulant vanishes are kept and evaluated: both the combinatorics and
-the cumulant algebra are exercised, not assumed.  The free-site sums carry
-the same shell-fit tail correction as the kernel power sums; its magnitude
-enters the per-coefficient error estimate.
+the cumulant algebra are exercised, not assumed.  The free-site sums are the
+kernel's own lattice power sums over the whole table, with their shell-fit
+tail; half the tail and the propagated quadrature defect enter the
+per-coefficient error estimate.
 
-With symbolic moments the result is a sparse polynomial in the moment
+The moments are symbolic, so the result is a sparse polynomial in the moment
 variables, i.e. the expansion coefficients themselves, obtained with no
-input from the closed-form derivation.
+input from the closed-form derivation.  Its value on a law is
+`polynomial.evaluate(moments)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import lattice
 from .distributions import Moments
 from .errors import CapabilityError
-from .kernel import KernelTable, _int_power, channel_array, gamma, tail_corrected_sum
+from .kernel import KernelTable, gamma, lattice_power_sum, power_sum_quad_error
 
 MAX_K = 5
 
@@ -195,14 +195,6 @@ def _representative_path(family: PathFamily):
     return tuple(bonds[lbl] for lbl in family.pattern)
 
 
-def _restricted_channel(table: KernelTable, alpha: int, R: int) -> np.ndarray:
-    arr = channel_array(table, 1, alpha)
-    if R == table.R:
-        return arr
-    lo, hi = table.R - R, table.R + R + 1
-    return arr[(slice(lo, hi),) * table.d]
-
-
 @dataclass(frozen=True)
 class EnumeratedOrder:
     """Order-k term as a polynomial in the moments, with error estimates."""
@@ -213,44 +205,20 @@ class EnumeratedOrder:
     families: tuple[PathFamily, ...]
 
 
-def enumerate_order(k: int, table: KernelTable, R: int | None = None) -> EnumeratedOrder:
-    """Sum all families over the box |z|_inf <= R, with symbolic moments."""
-    poly, err, fams = _accumulate(k, table, R, SymbolicMoments(k))
-    return EnumeratedOrder(k=k, polynomial=poly, error=err, families=tuple(fams))
-
-
-def A_k(k: int, table: KernelTable, moments: Moments | None = None, R: int | None = None):
-    """Order-k term: a moment polynomial, or its value on concrete moments.
-
-    With numeric moments the cumulants are evaluated in float arithmetic
-    (not by evaluating the symbolic polynomial), so the two modes cross-check
-    each other.
-    """
-    if moments is None:
-        return enumerate_order(k, table, R).polynomial
-    if moments.max_order < k:
-        raise ValueError(f"moments available to order {moments.max_order}, need {k}")
-    value, _, _ = _accumulate(k, table, R, moments)
-    return value
-
-
-def _accumulate(k: int, table: KernelTable, R: int | None, provider):
+def enumerate_order(k: int, table: KernelTable) -> EnumeratedOrder:
+    """Sum every family of order k over the whole table, with symbolic moments."""
     d = table.d
-    if R is None:
-        R = table.R
-    if R > table.R:
-        raise ValueError(f"requested radius {R} exceeds table radius {table.R}")
     families = enumerate_families(k, d)
+    provider = SymbolicMoments(k)
     g0 = gamma(table, 1, 1, (0,) * d)
-    symbolic = isinstance(provider, SymbolicMoments)
-    total = MomentPolynomial.zero() if symbolic else 0.0
-    err = MomentPolynomial.zero() if symbolic else 0.0
+    total = err = MomentPolynomial.zero()
 
     for family in families:
         cumulant = lattice.path_cumulant(_representative_path(family), provider)
+        size = cumulant.abs_coefficients()
         if family.n_blocks == 1:
             total = total + cumulant * g0 ** (k - 1)
-            err = err + _abs(cumulant) * (k - 1) * table.quad_defect * abs(g0) ** (k - 2)
+            err = err + size * (k - 1) * table.quad_defect * abs(g0) ** (k - 2)
             continue
         if family.n_blocks > 2:  # impossible for k <= 5; guards future edits
             raise CapabilityError("only two distinct bonds supported per path")
@@ -259,19 +227,13 @@ def _accumulate(k: int, table: KernelTable, R: int | None, provider):
         n_pin = sum(1 for a, b in pairs if a == b == 0)
         n_free = sum(1 for a, b in pairs if a == b == 1)
         directions = (1,) if family.direction_pinned else tuple(range(1, d + 1))
-        site_sum = 0.0
-        site_err = 0.0
+        site_sum = site_err = 0.0
         for alpha in directions:
-            ch = _restricted_channel(table, alpha, R)
-            ps = tail_corrected_sum(_int_power(ch, n_cross), R, d, include_origin=(alpha != 1))
+            ps = lattice_power_sum(table, 1, alpha, n_cross, include_origin=(alpha != 1))
+            quad = power_sum_quad_error(table, 1, alpha, n_cross)
             scalar = g0**n_pin * gamma(table, alpha, alpha, (0,) * d) ** n_free
             site_sum += scalar * (ps.value + ps.tail)
-            quad = n_cross * table.quad_defect * float(np.sum(_int_power(np.abs(ch), n_cross - 1)))
             site_err += abs(scalar) * (0.5 * abs(ps.tail) + quad)
         total = total + cumulant * site_sum
-        err = err + _abs(cumulant) * site_err
-    return total, err, families
-
-
-def _abs(x):
-    return x.abs_coefficients() if isinstance(x, MomentPolynomial) else abs(x)
+        err = err + size * site_err
+    return EnumeratedOrder(k=k, polynomial=total, error=err, families=tuple(families))

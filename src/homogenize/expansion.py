@@ -37,7 +37,6 @@ class ExpansionCoefficients:
     order: int
     a: dict[tuple[int, ...], float]
     err: dict[tuple[int, ...], float]
-    source_constants: DimensionConstants | None
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def coefficients(
             (3.0 * d + d**4 * constants.I + 4.0 * constants.H - 10.0) / d**4,
             constants.err["I"] + 4.0 * constants.err["H"] / d**4,
         )
-    return ExpansionCoefficients(d=d, order=order, a=a, err=err, source_constants=constants)
+    return ExpansionCoefficients(d=d, order=order, a=a, err=err)
 
 
 def remainder_bound(u0: float, order: int, mean_sigma: float) -> float | None:

@@ -73,16 +73,18 @@ class PowerSum(NamedTuple):
     tail: float   # signed shell-extrapolation estimate of the |z| > R remainder
 
 
-def build_kernel_table(d: int, N: int, R: int, probe_defect: bool = True) -> KernelTable:
+def build_kernel_table(d: int, N: int, R: int) -> KernelTable:
     """Evaluate the kernel by midpoint quadrature and FFT readout.
+
+    Every table carries its quadrature defect, probed at a few sites against
+    direct quadrature at 2N, so every error bar derived from it includes the
+    quadrature error.
 
     Parameters
     ----------
     d : dimension, >= 2
     N : quadrature points per axis, even and >= 8
     R : sup-norm truncation radius of the stored site box, 1 <= R <= N/2 - 1
-    probe_defect : compare a few sites against direct quadrature at 2N
-        (skippable because it dominates the build cost for d >= 4)
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -120,9 +122,7 @@ def build_kernel_table(d: int, N: int, R: int, probe_defect: bool = True) -> Ker
     # G_1a for a >= 2 is an axis permutation of G_12, with the same shell sums
     tail_11, tail_12 = (tail_corrected_sum(_int_power(values[k], 2), R, d).tail for k in _BASE)
     table = KernelTable(d, N, R, values, 0.0, float(tail_11 + (d - 1) * tail_12))
-    if probe_defect:
-        table = replace(table, quad_defect=_probe_quad_defect(table))
-    return table
+    return replace(table, quad_defect=_probe_quad_defect(table))
 
 
 def _axis_shape(n: int, d: int, ax: int) -> tuple[int, ...]:
@@ -140,13 +140,13 @@ def _probe_quad_defect(table: KernelTable) -> float:
                for a, b in channels for z in probes)
 
 
-def direct_quadrature(d: int, N: int, z, a: int, b: int, chunk: int = 8) -> float:
+def direct_quadrature(d: int, N: int, z, a: int, b: int) -> float:
     """Single-site kernel value by direct midpoint summation (no FFT).
 
     Memory-bounded reference evaluation used for the N-vs-2N defect probes.
     The grid and the denominator are symmetric under x -> 1 - x on each
     axis, so the sum runs over x < 1/2 with every axis factor folded to
-    f(x) + f(1 - x) (exact, for even N), in slabs of the leading axis.
+    f(x) + f(1 - x) (exact, for even N), in slabs of 8 along the leading axis.
     """
     if N % 2 != 0:
         raise ValueError("resolution N must be even")
@@ -170,8 +170,8 @@ def direct_quadrature(d: int, N: int, z, a: int, b: int, chunk: int = 8) -> floa
     numer_tail = math.prod(f.reshape(shp) for f, shp in zip(folded[1:], shapes[1:]))
     lead, lead_s2 = folded[0].reshape(shapes[0]), s2.reshape(shapes[0])
     total = sum(
-        np.sum(lead[i:i + chunk] * numer_tail / (denom_tail + lead_s2[i:i + chunk]))
-        for i in range(0, M, chunk)
+        np.sum(lead[i:i + 8] * numer_tail / (denom_tail + lead_s2[i:i + 8]))
+        for i in range(0, M, 8)
     )
     return float(-total.real / N**d)
 
@@ -222,12 +222,10 @@ def shell_radii(R: int, d: int) -> np.ndarray:
     return out
 
 
-def tail_corrected_sum(
-    arr: np.ndarray, R: int, d: int, include_origin: bool = True, fit_shells: int = 3
-) -> PowerSum:
+def tail_corrected_sum(arr: np.ndarray, R: int, d: int, include_origin: bool = True) -> PowerSum:
     """Box sum of `arr` plus a power-law tail extrapolated from shell sums.
 
-    Shell sums s_r over |z|_inf = r for the outer `fit_shells` shells are
+    Shell sums s_r over |z|_inf = r for the outer three shells are
     fitted to C * r^q (the closed-form least-squares line through the points
     (log r, log |s_r|)); the fitted tail sum_{r > R} C r^q is returned
     alongside the raw box sum.  If the outer shells change sign, or decay
@@ -240,12 +238,12 @@ def tail_corrected_sum(
         value -= float(arr[(R,) * d])
 
     tail = 0.0
-    if R >= fit_shells:
-        rs = np.arange(R - fit_shells + 1, R + 1)
+    if R >= 3:
+        rs = np.arange(R - 2, R + 1)
         sv = shell_sums[rs]
         if np.all(sv > 0) or np.all(sv < 0):
             x, y = np.log(rs), np.log(np.abs(sv))
-            x_mean, y_mean = x.sum() / fit_shells, y.sum() / fit_shells
+            x_mean, y_mean = x.sum() / 3, y.sum() / 3
             dx = x - x_mean
             q = float(dx @ (y - y_mean) / (dx @ dx))
             if q < -1.0:  # else the extrapolated tail diverges; refuse
@@ -296,9 +294,9 @@ def _int_power(x, p: int):
 def lattice_power_sum(
     table: KernelTable, alpha: int, beta: int, p: int, include_origin: bool = True
 ) -> PowerSum:
-    """Sum of G_alpha,beta(z)^p over the stored box, with tail estimate."""
-    if p < 2:
-        raise ValueError("power p must be >= 2")
+    """Sum of G_alpha,beta(z)^p, p >= 1, over the stored box, with tail estimate."""
+    if p < 1:
+        raise ValueError("power p must be >= 1")
     arr = _int_power(channel_array(table, alpha, beta), p)
     return tail_corrected_sum(arr, table.R, table.d, include_origin=include_origin)
 

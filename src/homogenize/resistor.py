@@ -159,10 +159,10 @@ def estimate_sigma_e(
     samples: int,
     seed: int,
     tol: float = 1e-10,
-    direction: int = 1,
     keep_per_sample: bool = False,
 ) -> SigmaEstimate:
-    """Mean and standard error of the per-sample estimate over `samples` networks.
+    """Mean and standard error of the per-sample estimate over `samples` networks,
+    each solved with its mean field along the first axis.
 
     Deterministic for a given seed.  Samples whose solve fails are skipped
     and counted in `skipped`; the estimate is over the remaining ones.
@@ -174,7 +174,7 @@ def estimate_sigma_e(
     for i in range(samples):
         net = sample_network(d, L, dist, seed, sample_index=i)
         try:
-            solved.append(solve_corrector(net, direction=direction, tol=tol).estimate)
+            solved.append(solve_corrector(net, tol=tol).estimate)
         except SolverError:
             pass
     vals = np.array(solved)

@@ -10,7 +10,17 @@ from pathlib import Path
 import pytest
 
 import homogenize
-from homogenize import SigmaEstimate, cli, constant, save_distribution, two_component
+import homogenize.lattice as lattice
+from homogenize import (
+    SigmaEstimate,
+    cli,
+    constant,
+    enumerate_order,
+    get_kernel_table,
+    moments,
+    save_distribution,
+    two_component,
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +100,24 @@ class TestCommands:
             "--resolution", "128", "--radius", "10",
         )
         assert data["value"] == pytest.approx(-0.5 * 0.16, abs=1e-6)  # a2 * <u^2>
+
+    def test_enumerate_dist_evaluates_the_enumerated_polynomial(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        law = two_component(1.0, 4.0)  # skewed: every order-5 signature contributes
+        path = tmp_path / "skewed.json"
+        save_distribution(law, path)
+        calls = []
+        original = lattice.path_cumulant
+        monkeypatch.setattr(lattice, "path_cumulant",
+                            lambda *a: calls.append(a) or original(*a))
+        data = run_json(
+            capsys, "enumerate", "--dim", "2", "--k", "5", "--dist", str(path),
+            "--resolution", "128", "--radius", "10",
+        )
+        assert len(calls) == len(data["families"]) == 11  # one path sum per family
+        eo = enumerate_order(5, get_kernel_table(2, 128, 10))
+        assert data["value"] == eo.polynomial.evaluate(moments(law, 5))
 
     def test_expand_raw_moment_law(self, capsys, tmp_path):
         path = tmp_path / "raw.json"
@@ -223,6 +251,17 @@ class TestExitCodes:
         failed = sorted(name for name, c in checks.items() if not c["pass"])
         assert failed == (["mc_kd_mean", "mc_selfdual_mean"] if skipped else [])
         assert checks["mc_kd_mean"]["skipped"] == checks["mc_selfdual_mean"]["skipped"] == skipped
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e300"])
+    def test_duality_alpha_without_finite_residual_is_2(self, capsys, alpha):
+        assert cli.main(["duality-check", "--p", "0.3", f"--alpha={alpha}"]) == 2
+        assert "alpha ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["0", "1"])
+    def test_bruggeman_series_order_out_of_range_is_2(self, capsys, kd_file, order):
+        argv = ["bruggeman", "--dim", "2", "--dist", kd_file, "--series-order", order]
+        assert cli.main(argv) == 2
+        assert "orders 2..6" in capsys.readouterr().err
 
     def test_capacity_error_is_3(self, capsys):
         code = cli.main(["kernel", "--dim", "6", "--resolution", "64", "--radius", "3"])

@@ -46,9 +46,7 @@ def reference_coefficients(order=6) -> ExpansionCoefficients:
         (2, 2, 2): 1.5 * I_REF - 1 / 16,
     }
     a = {sig: c for sig, c in a.items() if sum(sig) <= order}
-    return ExpansionCoefficients(
-        d=2, order=order, a=a, err={s: 0.0 for s in a}, source_constants=None
-    )
+    return ExpansionCoefficients(d=2, order=order, a=a, err={s: 0.0 for s in a})
 
 
 class TestMoments:
@@ -257,9 +255,7 @@ class TestDualityResidual:
         coeffs = reference_coefficients()
         bad = dict(coeffs.a)
         bad[(4,)] = -0.125 + 0.01
-        broken = ExpansionCoefficients(
-            d=2, order=6, a=bad, err=coeffs.err, source_constants=None
-        )
+        broken = ExpansionCoefficients(d=2, order=6, a=bad, err=coeffs.err)
         res = duality_residual_series(
             DualityProbe(p=0.3, alpha_ratio=2.0, order=6), broken
         )
@@ -290,12 +286,13 @@ class TestDualityResidual:
             DualityProbe(p=0.3, alpha_ratio=1.0, order=5)
         with pytest.raises(ValueError):
             DualityProbe(p=0.3, alpha_ratio=1.0, order=10)
+        for alpha in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="alpha ratio must be finite"):
+                DualityProbe(p=0.3, alpha_ratio=alpha)
 
     def test_requires_2d(self):
         coeffs = reference_coefficients()
-        threed = ExpansionCoefficients(
-            d=3, order=6, a=coeffs.a, err=coeffs.err, source_constants=None
-        )
+        threed = ExpansionCoefficients(d=3, order=6, a=coeffs.a, err=coeffs.err)
         with pytest.raises(CapabilityError):
             duality_residual_series(DualityProbe(p=0.3, alpha_ratio=2.0), threed)
 

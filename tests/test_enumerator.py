@@ -2,17 +2,18 @@
 
 import pytest
 
+import homogenize.lattice as lattice
 from homogenize import (
-    A_k,
     CapabilityError,
     MomentPolynomial,
+    build_kernel_table,
     coefficients,
     enumerate_families,
     enumerate_order,
     moments,
     two_component,
 )
-from homogenize.enumerator import SymbolicMoments
+from homogenize.enumerator import SymbolicMoments, _representative_path
 
 
 class TestFamilies:
@@ -47,9 +48,6 @@ class TestFamilies:
         assert not by_pattern[(0, 1, 1, 0)].direction_pinned
 
     def test_sequential_patterns_have_zero_cumulant(self):
-        import homogenize.lattice as lattice
-        from homogenize.enumerator import _representative_path
-
         for fam in enumerate_families(5, 2):
             if fam.pattern in {(0, 0, 1, 1, 1), (0, 0, 0, 1, 1)}:
                 poly = lattice.path_cumulant(_representative_path(fam), SymbolicMoments(5))
@@ -88,18 +86,18 @@ class TestMomentPolynomial:
 
 class TestAk:
     def test_A2_A3_pure(self, table2_small):
-        a2 = A_k(2, table2_small)
+        a2 = enumerate_order(2, table2_small).polynomial
         assert a2.coefficient((2,)) == pytest.approx(-0.5, abs=1e-9)
-        a3 = A_k(3, table2_small)
+        a3 = enumerate_order(3, table2_small).polynomial
         assert a3.coefficient((3,)) == pytest.approx(0.25, abs=1e-9)
 
     def test_A4_2d(self, table2_small):
-        poly = A_k(4, table2_small)
+        poly = enumerate_order(4, table2_small).polynomial
         assert poly.coefficient((4,)) == pytest.approx(-0.125, abs=1e-6)
         assert poly.coefficient((2, 2)) == pytest.approx(0.0, abs=1e-4)
 
     def test_A5_2d_matches_constants(self, table2, const2):
-        poly = A_k(5, table2)
+        poly = enumerate_order(5, table2).polynomial
         assert poly.coefficient((5,)) == pytest.approx(1 / 16, abs=1e-6)
         assert poly.coefficient((2, 3)) == pytest.approx(const2.I, abs=1e-4 * const2.I)
 
@@ -113,27 +111,29 @@ class TestAk:
                 tol = 1e-6
             assert eo.polynomial.coefficient(sig) == pytest.approx(ref.a[sig], abs=tol)
 
-    def test_numeric_equals_symbolic_evaluation(self, table2_small):
+    def test_numeric_equals_symbolic_evaluation(self):
+        # the cumulant algebra in float arithmetic against the polynomial ring
         mom = moments(two_component(1.0, 4.0), 5)
         for k in range(2, 6):
-            numeric = A_k(k, table2_small, moments=mom)
-            symbolic = A_k(k, table2_small).evaluate(mom)
-            assert numeric == pytest.approx(symbolic, rel=1e-12, abs=1e-15)
+            for fam in enumerate_families(k, 2):
+                path = _representative_path(fam)
+                numeric = lattice.path_cumulant(path, mom)
+                symbolic = lattice.path_cumulant(path, SymbolicMoments(k)).evaluate(mom)
+                assert numeric == pytest.approx(symbolic, rel=1e-12, abs=1e-15), fam
 
-    def test_truncation_monotonicity(self, table2_small):
+    def test_truncation_monotonicity(self):
         mom = moments(two_component(1.0, 4.0), 4)
-        values = {R: A_k(4, table2_small, moments=mom, R=R) for R in range(5, 11)}
+        values = {
+            R: enumerate_order(4, build_kernel_table(2, 128, R)).polynomial.evaluate(mom)
+            for R in range(5, 11)
+        }
         diffs = [abs(values[R] - values[R - 1]) for R in range(6, 11)]
         assert all(a >= b for a, b in zip(diffs, diffs[1:]))
-
-    def test_radius_validation(self, table2_small):
-        with pytest.raises(ValueError):
-            A_k(4, table2_small, R=table2_small.R + 1)
 
     def test_moment_order_validation(self, table2_small):
         mom = moments(two_component(1.0, 4.0), 3)
         with pytest.raises(ValueError):
-            A_k(5, table2_small, moments=mom)
+            enumerate_order(5, table2_small).polynomial.evaluate(mom)
 
     def test_error_estimates_nonnegative(self, table2_small):
         eo = enumerate_order(4, table2_small)
