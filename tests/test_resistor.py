@@ -119,8 +119,8 @@ class TestCorrector:
         large = solve_corrector(sample_network(2, 128, law, seed=3)).iterations
         assert large <= small + 5
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), float("inf")])
-    def test_tol_must_be_finite_and_positive(self, tol):
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, 2.0, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):  # and below 1
         net = sample_network(2, 8, two_component(0.6, 1.4), seed=3)
         with pytest.raises(ValueError, match="tol"):
             solve_corrector(net, tol=tol)
@@ -153,10 +153,17 @@ class TestEstimator:
             assert value == solve_corrector(sample_network(2, 12, law, 21, i)).estimate
 
     def test_per_sample_kept_on_request(self):
-        est = estimate_sigma_e(2, 8, two_component(0.6, 1.4), samples=4, seed=1,
-                               keep_per_sample=True)
-        assert len(est.per_sample) == 4
-        assert est.mean == pytest.approx(np.mean(est.per_sample))
+        law = two_component(0.6, 1.4)
+        est = estimate_sigma_e(2, 8, law, samples=4, seed=1, keep_per_sample=True)
+        nets = [sample_network(2, 8, law, 1, i) for i in range(4)]
+        sols = [solve_corrector(net) for net in nets]
+        assert est.per_sample == tuple(sol.estimate for sol in sols)
+        # mean(s) - m + born / m per sample, around E[X] = -Var(c) (1 - 8^-2) / (2 m)
+        m, var = 1.0, 0.16
+        x = [np.mean(n.conductances[0]) - m + s.born / m for n, s in zip(nets, sols)]
+        ys = [s.estimate - xi - var * (1 - 8.0**-2) / (2 * m) for s, xi in zip(sols, x)]
+        assert est.mean == pytest.approx(np.mean(ys), rel=1e-15, abs=0)
+        assert est.stderr == pytest.approx(np.std(ys, ddof=1) / 2, rel=1e-15, abs=0)
 
     def test_statistical_duality_2d(self):
         kd = two_component(0.6, 1.4)
@@ -212,3 +219,66 @@ class TestEstimator:
             est = estimate_sigma_e(2, L, kd, samples=30, seed=5)
             devs[L] = abs(est.mean - exact)
         print(f"finite-size |bias|: L=16 -> {devs[16]:.2e}, L=32 -> {devs[32]:.2e}")
+
+
+class TestControlVariate:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mean_of_x_is_exact_on_the_torus(self, d):
+        # born is a quadratic form s.B.s in the direction-1 bonds with B 1 = 0,
+        # so born(1 + e_j) = B_jj, and for i.i.d. bonds
+        # E[X] = E[born] / m = Var(c) tr(B) / m = -Var(c) (1 - L^-d) / (d m)
+        L = 4
+        n = L**d
+        trace = 0.0
+        for j in range(n):
+            cond = np.ones((d, n))
+            cond[0, j] = 2.0
+            trace += solve_corrector(resistor_mod.TorusNetwork(d, L, cond, seed=0)).born
+        assert trace == pytest.approx(-(1.0 - float(L) ** -d) / d, rel=0, abs=1e-14)
+
+    @pytest.mark.parametrize("d, L, direction", [(2, 16, 1), (2, 16, 2), (3, 8, 3)])
+    def test_born_is_the_first_order_corrector_term(self, d, L, direction):
+        law = three_value(0.5, -1.0, 0.3)
+        net = sample_network(d, L, law, seed=41)
+        m = float(law.probs() @ law.values())
+        u = net.conductances[direction - 1].reshape((L,) * d) / m - 1.0
+        # phi_1 solves the unit-conductance torus Laplacian against the
+        # backward difference of u, here by a full complex FFT pair
+        k = np.meshgrid(*([2.0 * np.pi * np.arange(L) / L] * d), indexing="ij")
+        symbol = sum(2.0 - 2.0 * np.cos(ka) for ka in k)
+        symbol[(0,) * d] = 1.0
+        rhs = np.fft.fftn(u - np.roll(u, 1, axis=direction - 1))
+        rhs[(0,) * d] = 0.0
+        phi1 = np.fft.ifftn(rhs / symbol).real
+        grad = np.roll(phi1, -1, axis=direction - 1) - phi1
+        born = solve_corrector(net, direction=direction).born
+        assert born == pytest.approx(m * m * np.mean(u * grad), rel=1e-12)
+
+    def test_x_matches_the_estimate_to_second_order(self):
+        # conductances 1 + eps*v: sigma - 1 - X is O(eps^3), so halving eps divides it by ~8
+        v = np.sign(sample_network(2, 16, two_component(0.5, 1.5), seed=3).conductances - 1.0)
+        rest = []
+        for eps in (0.01, 0.005):
+            net = resistor_mod.TorusNetwork(2, 16, 1.0 + eps * v, seed=0)
+            sol = solve_corrector(net)
+            rest.append(sol.estimate - 1.0 - (np.mean(net.conductances[0]) - 1.0 + sol.born))
+        assert 6.0 < rest[0] / rest[1] < 10.0
+
+    # The first two raw estimates of each `oracle` benchmark case
+    # (bench/workloads.py, benchmark seed 0), as the plain-mean estimator gave them.
+    @pytest.mark.parametrize("d, L, atoms, seed, expected", [
+        (2, 64, ((0.6, 0.5), (1.4, 0.5)), 15793235383387715774,
+         ("0x1.d14bfa5c88807p-1", "0x1.d215be478d8f6p-1")),
+        (2, 128, ((0.6, 0.5), (1.4, 0.5)), 12390638538380655177,
+         ("0x1.d3ca548610aaap-1", "0x1.d8d8621415c30p-1")),
+        (2, 256, ((0.6, 0.5), (1.4, 0.5)), 2361836109651742017,
+         ("0x1.d52dafae3f95ep-1", "0x1.d4a5658283b3ap-1")),
+        (2, 64, ((0.1, 0.5), (10.0, 0.5)), 3188717715514472916,
+         ("0x1.2d0294a028d45p+0", "0x1.04596364309acp+0")),
+        (3, 24, ((0.6, 0.5), (1.4, 0.5)), 648184599915300350,
+         ("0x1.e428ef8bb630fp-1", "0x1.e0945d321663ap-1")),
+    ])
+    def test_raw_per_sample_values_unchanged(self, d, L, atoms, seed, expected):
+        est = estimate_sigma_e(d, L, DistributionSpec(atoms=atoms), samples=2, seed=seed,
+                               keep_per_sample=True)
+        assert est.per_sample == tuple(float.fromhex(h) for h in expected)
