@@ -3,9 +3,9 @@
 The kernel G_ab(z) is a Brillouin-zone integral of a bounded periodic
 integrand with a direction-dependent (but finite) limit at the origin of
 momentum space.  It is evaluated on the midpoint-shifted tensor grid
-lam = (j + 1/2)/N, which never touches the singular point, by attaching the
-half-step phases to the two sine factors and reading all shifts z off a
-d-dimensional inverse FFT.
+lam = (j + 1/2)/N, which never touches the singular point.  The integrand
+is even under lam -> 1 - lam on each axis, so the box |z|_inf <= R is the
+real half-grid lam < 1/2 contracted with one small real matrix per axis.
 
 Only channels (1, 1) and (1, 2) are built and stored: by cubic symmetry
 G_aa(z) = G_11(z_a, other coordinates), G_ab(z) = G_12(z_a, z_b, other
@@ -38,7 +38,8 @@ from .errors import CapacityError
 #: accuracy targets of the test suite.
 DEFAULTS = {2: (512, 24), 3: (64, 8), 4: (32, 4), 5: (16, 3)}
 
-#: Hard cap on grid points per channel (~0.5 GB of complex128 transient).
+#: Hard cap on N^d.  A build holds the real (N/2)^d half-grid, and its
+#: defect probe the real N^d half-grid at 2N: at most 0.25 GB of float64.
 GRID_CAP = 2**25
 
 _MAGIC = b"GKTB"
@@ -74,11 +75,12 @@ class PowerSum(NamedTuple):
 
 
 def build_kernel_table(d: int, N: int, R: int) -> KernelTable:
-    """Evaluate the kernel by midpoint quadrature and FFT readout.
+    """Evaluate the kernel on the stored box by folded midpoint quadrature.
 
-    Every table carries its quadrature defect, probed at a few sites against
-    direct quadrature at 2N, so every error bar derived from it includes the
-    quadrature error.
+    Each base channel is the real half-grid integrand contracted with one
+    (2R+1) x N/2 matrix per axis.  Every table carries its quadrature
+    defect, probed at a few sites against the same quadrature at 2N, so
+    every error bar derived from it includes the quadrature error.
 
     Parameters
     ----------
@@ -102,22 +104,8 @@ def build_kernel_table(d: int, N: int, R: int) -> KernelTable:
             f"N^d = {N**d:.3g} exceeds capacity {GRID_CAP:.3g}; feasible N <= {n} for d={d}"
         )
 
-    x = (np.arange(N) + 0.5) / N
-    s = np.sin(np.pi * x)
-    t = s * np.exp(-1j * np.pi * x)  # sine factor with its half-step phase
-
-    denom = sum((s**2).reshape(_axis_shape(N, d, ax)) for ax in range(d))
     idx = np.arange(-R, R + 1)
-    sel = np.ix_(*([idx % N] * d))
-    half_phase = np.exp(1j * np.pi * idx / N)
-
-    values = {}
-    for a, b in _BASE:
-        g = t.reshape(_axis_shape(N, d, a - 1)) * np.conj(t).reshape(_axis_shape(N, d, b - 1))
-        box = np.fft.ifftn(g / denom)[sel]
-        for ax in range(d):
-            box = box * half_phase.reshape(_axis_shape(2 * R + 1, d, ax))
-        values[(a, b)] = -np.ascontiguousarray(box.real)
+    values = {(a, b): _folded_sum(d, N, a, b, [idx] * d) for a, b in _BASE}
 
     # G_1a for a >= 2 is an axis permutation of G_12, with the same shell sums
     tail_11, tail_12 = (tail_corrected_sum(_int_power(values[k], 2), R, d).tail for k in _BASE)
@@ -130,50 +118,57 @@ def _axis_shape(n: int, d: int, ax: int) -> tuple[int, ...]:
 
 
 def _probe_quad_defect(table: KernelTable) -> float:
-    """Max |G_N - G_2N| over a few probe sites, via direct folded sums."""
-    d = table.d
+    """Max |G_N - G_2N| over a few probe sites, read off a radius-2 box at 2N."""
+    d, N = table.d, table.N
     probes = [(1,) + (0,) * (d - 1), (1, 1) + (0,) * (d - 2)]
     if d <= 3:
         probes.append((2, 1) + (0,) * (d - 2))
     channels = [(1, 1), (1, d)] if d <= 3 else [(1, 1)]
-    return max(abs(gamma(table, a, b, z) - direct_quadrature(d, 2 * table.N, z, a, b))
+    near = [np.arange(-2, 3)] * d
+    fine = {key: _folded_sum(d, 2 * N, *key, near) for key in _BASE[:len(channels)]}
+    fine_table = KernelTable(d, 2 * N, 2, fine, 0.0, 0.0)
+    return max(abs(gamma(table, a, b, z) - gamma(fine_table, a, b, z))
                for a, b in channels for z in probes)
 
 
-def direct_quadrature(d: int, N: int, z, a: int, b: int) -> float:
-    """Single-site kernel value by direct midpoint summation (no FFT).
+def _folded_sum(d: int, N: int, a: int, b: int, sites) -> np.ndarray:
+    """G_ab on the product of the per-axis site lists `sites`, by midpoint quadrature.
 
-    Memory-bounded reference evaluation used for the N-vs-2N defect probes.
-    The grid and the denominator are symmetric under x -> 1 - x on each
-    axis, so the sum runs over x < 1/2 with every axis factor folded to
-    f(x) + f(1 - x) (exact, for even N), in slabs of 8 along the leading axis.
+    1/D and the grid x = (j + 1/2)/N are even under x -> 1 - x on each axis,
+    so the sum runs over the real half-grid x < 1/2 with each axis factor
+    folded to f(x) + f(1 - x), s = sin(pi x): 2 cos(2 pi x z) on a plain axis,
+    2 s^2 cos(2 pi x z) on axis a = b, and 2 s sin(pi x (2z - 1)) on axis a,
+    2 s sin(pi x (2z + 1)) on axis b of a != b (their factors i flip the sign).
+    Axes are contracted in turn by einsum (no BLAS), a row per |2z -+ 1|.
+    """
+    M = N // 2
+    odd = 2 * np.arange(M) + 1  # x = odd / 2N
+    s = np.sin(np.pi / (2 * N) * odd)
+    out = sum((s * s).reshape(_axis_shape(M, d, ax)) for ax in range(d))
+    np.reciprocal(out, out=out)
+    spread, sign = [], 1
+    for ax in range(d):
+        shift = (ax == b - 1) - (ax == a - 1)
+        k = 2 * np.asarray(sites[ax]) + shift
+        rows, inv = np.unique(np.abs(k), return_inverse=True)
+        angle = np.pi / (2 * N) * (np.multiply.outer(rows, odd) % (4 * N))
+        trig = np.sin(angle) if shift else np.cos(angle)
+        out = np.einsum("x...,zx->...z", out, 2 * s ** ((ax == a - 1) + (ax == b - 1)) * trig)
+        spread.append(inv)
+        if shift:
+            sign = sign * np.sign(k).reshape(_axis_shape(k.size, d, ax))
+    return out[np.ix_(*spread)] * sign * ((-1.0 if a == b else 1.0) / N**d)
+
+
+def direct_quadrature(d: int, N: int, z, a: int, b: int) -> float:
+    """Single-site kernel value G_ab(z) by folded midpoint summation (no FFT).
+
+    The one-site case of the box evaluation behind `build_kernel_table`:
+    the same folded half-grid sum with one row per axis.
     """
     if N % 2 != 0:
         raise ValueError("resolution N must be even")
-    z = tuple(int(c) for c in z)
-    M = N // 2
-    x = (np.arange(M) + 0.5) / N
-    s2 = np.sin(np.pi * x) ** 2
-
-    def axis_factor(ax, x):
-        t = np.sin(np.pi * x) * np.exp(-1j * np.pi * x)
-        f = np.exp(2j * np.pi * x * z[ax])
-        if ax == a - 1:
-            f = f * t
-        if ax == b - 1:
-            f = f * np.conj(t)
-        return f
-
-    folded = [axis_factor(ax, x) + axis_factor(ax, 1 - x) for ax in range(d)]
-    shapes = [_axis_shape(M, d, ax) for ax in range(d)]
-    denom_tail = sum(s2.reshape(shp) for shp in shapes[1:])
-    numer_tail = math.prod(f.reshape(shp) for f, shp in zip(folded[1:], shapes[1:]))
-    lead, lead_s2 = folded[0].reshape(shapes[0]), s2.reshape(shapes[0])
-    total = sum(
-        np.sum(lead[i:i + 8] * numer_tail / (denom_tail + lead_s2[i:i + 8]))
-        for i in range(0, M, 8)
-    )
-    return float(-total.real / N**d)
+    return _folded_sum(d, N, a, b, [[int(c)] for c in z]).item()
 
 
 @lru_cache(maxsize=None)
@@ -247,8 +242,9 @@ def tail_corrected_sum(arr: np.ndarray, R: int, d: int, include_origin: bool = T
             dx = x - x_mean
             q = float(dx @ (y - y_mean) / (dx @ dx))
             if q < -1.0:  # else the extrapolated tail diverges; refuse
-                logc = y_mean - q * x_mean
-                tail = float(np.sign(sv[0]) * np.exp(logc) * _hurwitz_zeta(-q, R + 1))
+                # C R^q * sum_{r > R} (r/R)^q: neither factor overflows at large -q
+                log_fit_r = y_mean + q * (math.log(R) - x_mean)
+                tail = float(np.sign(sv[0]) * np.exp(log_fit_r) * _hurwitz_zeta(-q, R + 1, R))
     return PowerSum(value, tail)
 
 
@@ -256,17 +252,19 @@ def tail_corrected_sum(arr: np.ndarray, R: int, d: int, include_origin: bool = T
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
 
 
-def _hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta sum_{k >= 0} (a + k)^-s for s > 1 and a >= 2.
+def _hurwitz_zeta(s: float, a: float, scale: float = 1.0) -> float:
+    """Scaled Hurwitz zeta sum_{k >= 0} ((a + k) / scale)^-s for s > 1 and a >= 2.
 
     Eight terms are summed as they stand; the rest is the Euler-Maclaurin
     tail at n = a + 8, with the corrections
-    B_2j / (2j)! * s (s+1) ... (s+2j-2) * n^(-s-2j+1) for j = 1..6.
+    B_2j / (2j)! * s (s+1) ... (s+2j-2) * n^(-s-2j+1) for j = 1..6, each
+    times scale^s.  With scale < a no term overflows, however large s is.
     """
     n = a + 8
-    terms = [(a + k) ** -s for k in range(8)]
-    terms += [n ** (1 - s) / (s - 1), 0.5 * n**-s]
-    c = 0.5 * s * n ** (-s - 1)
+    terms = [((a + k) / scale) ** -s for k in range(8)]
+    w = (n / scale) ** -s
+    terms += [n * w / (s - 1), 0.5 * w]
+    c = 0.5 * s * w / n
     for j, b in enumerate(_BERNOULLI, start=1):
         terms.append(b * c)
         c *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2) * n * n)

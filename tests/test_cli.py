@@ -71,6 +71,15 @@ class TestCommands:
         data = run_json(capsys, "constants", "--dim", "3")
         assert data["H"] == pytest.approx(0.923, abs=5e-3)
 
+    def test_constants_at_the_largest_radius_are_finite(self, capsys):
+        args = ("constants", "--dim", "2", "--resolution", "512", "--radius", "255")
+        code, out = run(capsys, *args)
+        assert code == 0 and "NaN" not in out
+        data = json.loads(out)
+        got = [data[k] for k in ("H", "I1", "I2", "I", "K5", "K5_via_H")]
+        got += data["err"].values()
+        assert all(math.isfinite(v) for v in got), out
+
     def test_kernel_report(self, capsys):
         data = run_json(capsys, "kernel", "--dim", "2", "--resolution", "64", "--radius", "6")
         assert data["gamma11_origin"] == pytest.approx(-0.5, abs=1e-6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from homogenize import (
+    build_kernel_table,
     dimension_constants,
     h_strictly_decreasing,
     k5_via_H,
@@ -85,3 +86,16 @@ class TestFormulaReduction:
     def test_dimension_mismatch_guard(self, table3):
         consts, table = dimension_constants(table=table3)
         assert consts.d == 3 and table is table3
+
+
+#: Grids refined from DEFAULTS in both N and R.
+REFINED = {2: (1024, 48), 3: (128, 16), 4: (48, 8), 5: (24, 5)}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_err_covers_the_change_on_a_refined_grid(d, request):
+    coarse = request.getfixturevalue(f"const{d}")
+    fine, _ = dimension_constants(table=build_kernel_table(d, *REFINED[d]))
+    for name in ("H", "I1", "I2", "I", "K5"):
+        change = abs(getattr(coarse, name) - getattr(fine, name))
+        assert change <= coarse.err[name], (name, change, coarse.err[name])

@@ -1,7 +1,9 @@
 """Kernel quadrature: exact identities, symmetries, power sums, cache."""
 
 import itertools
+import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from homogenize import (
     save_table,
 )
 from homogenize.kernel import (
+    DEFAULTS,
     GRID_CAP,
     _hurwitz_zeta,
     direct_quadrature,
@@ -216,6 +219,13 @@ class TestBaseChannels:
             want = _channel_by_own_fft(d, N, R, a, b)
             assert np.max(np.abs(channel_array(table, a, b) - want)) <= 1e-15, (a, b)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_base_channels_match_their_own_fft_at_defaults(self, d, request):
+        table = request.getfixturevalue(f"table{d}")
+        for (a, b), arr in table.values.items():
+            want = _channel_by_own_fft(d, table.N, table.R, a, b)
+            assert np.max(np.abs(arr - want)) <= 1e-15, (a, b)
+
     def test_gamma_reads_the_derived_channel(self):
         table = build_kernel_table(4, 8, 2)
         sites = list(itertools.product(range(-2, 3), repeat=4))
@@ -254,6 +264,18 @@ class TestValidationAndCapacity:
         feasible = max(n for n in range(8, 6000, 2) if n**d <= GRID_CAP)
         with pytest.raises(CapacityError, match=f"feasible N <= {feasible} for d={d}$"):
             build_kernel_table(d, feasible + 2, 3)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_build_peak_memory_at_defaults(self, d):
+        # the largest array is the defect probe's folded 2N grid: N^d float64
+        N, R = DEFAULTS[d]
+        tracemalloc.start()
+        try:
+            build_kernel_table(d, N, R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * N**d
 
     def test_odd_resolution(self):
         with pytest.raises(ValueError):
@@ -309,6 +331,24 @@ class TestShellMachinery:
         for r in range(1, R + 1):
             arr[R + r, R] = c * r**-0.8  # the tail would diverge: refused
         assert tail_corrected_sum(arr, R, d).tail == 0.0
+
+    def test_tail_fit_steep_outer_shells(self):
+        # shells falling like r^-400 near R, as when R is close to N/2: the
+        # fitted C alone overflows and zeta(400, R + 1) underflows
+        R, d, q = 200, 2, -400.0
+        arr = np.zeros((2 * R + 1,) * d)
+        for r in range(R - 2, R + 1):
+            arr[R + r, R] = 1e-3 * (r / R) ** q
+        expected = 1e-3 * math.fsum((r / R) ** q for r in range(R + 1, 40 * R))
+        assert tail_corrected_sum(arr, R, d).tail == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("N, R", [(512, 255), (2048, 1023)])
+    def test_largest_radius_gives_finite_tail_and_constants(self, N, R):
+        table = build_kernel_table(2, N, R)
+        assert math.isfinite(table.est_tail)
+        consts, _ = dimension_constants(table=table)
+        got = [consts.H, consts.I1, consts.I2, consts.I, consts.K5, *consts.err.values()]
+        assert all(math.isfinite(v) for v in got), consts
 
     def test_hurwitz_zeta_matches_scipy(self):
         s = np.linspace(1.05, 12.0, 111)
