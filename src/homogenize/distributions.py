@@ -333,18 +333,32 @@ def _series_sigma_e(coeff_map: dict, mean: PowerSeries, mom: dict) -> PowerSerie
     return mean * s
 
 
-def _three_value_residual(p: float, alpha: float, coeff_map: dict, order: int) -> np.ndarray:
-    """eps-coefficients of sigma_e({sigma}) * sigma_e({1/sigma}) - 1."""
+def _probe_series(p: float, alpha: float, order: int, max_moment: int) -> tuple:
+    """Mean and <u^n> eps-series, n = 2..max_moment, of the three-value family
+    1 - eps, 1 - alpha*eps, 1 (weights p, p, 1 - 2p) and of its reciprocals."""
     one = PowerSeries.constant(1.0, order)
     eps = PowerSeries.variable(order)
     vals = [one - eps, one - alpha * eps, one]
     probs = [p, p, 1.0 - 2.0 * p]
-    max_m = max((max(sig) for sig in coeff_map if coeff_map[sig] != 0.0), default=2)
-    mean_a, mom_a = _eps_moments(vals, probs, max_m)
-    mean_b, mom_b = _eps_moments([v.reciprocal() for v in vals], probs, max_m)
+    return (
+        _eps_moments(vals, probs, max_moment),
+        _eps_moments([v.reciprocal() for v in vals], probs, max_moment),
+    )
+
+
+def _series_residual(series: tuple, coeff_map: dict) -> np.ndarray:
+    """eps-coefficients of sigma_e({sigma}) * sigma_e({1/sigma}) - 1, from the
+    `_probe_series` of a probe; its max_moment must cover coeff_map."""
+    (mean_a, mom_a), (mean_b, mom_b) = series
     sa = _series_sigma_e(coeff_map, mean_a, mom_a)
     sb = _series_sigma_e(coeff_map, mean_b, mom_b)
     return (sa * sb - 1.0).c
+
+
+def _three_value_residual(p: float, alpha: float, coeff_map: dict, order: int) -> np.ndarray:
+    """eps-coefficients of sigma_e({sigma}) * sigma_e({1/sigma}) - 1."""
+    max_m = max((max(sig) for sig in coeff_map if coeff_map[sig] != 0.0), default=2)
+    return _series_residual(_probe_series(p, alpha, order, max_m), coeff_map)
 
 
 def duality_residual_series(
@@ -401,17 +415,20 @@ def solve_residual_relations(
     base_map = dict(fixed)
     for sig in unknowns:
         base_map[sig] = 0.0
-    rhs = np.array(
-        [_three_value_residual(p, a, base_map, eps_power)[eps_power] for p, a in _PROBES]
-    )
+    # each <u^n> series is independent of max_moment, so one set per probe
+    # serves every map below bit for bit
+    series = [_probe_series(p, a, eps_power, max(map(max, base_map), default=2))
+              for p, a in _PROBES]
+
+    def residuals(coeff_map):
+        return np.array([_series_residual(s, coeff_map)[eps_power] for s in series])
+
+    rhs = residuals(base_map)
     cols = []
     for sig in unknowns:
         bumped = dict(base_map)
         bumped[sig] = 1.0
-        col = np.array(
-            [_three_value_residual(p, a, bumped, eps_power)[eps_power] for p, a in _PROBES]
-        )
-        cols.append(col - rhs)
+        cols.append(residuals(bumped) - rhs)
     A = np.column_stack(cols)
     x, *_ = np.linalg.lstsq(A, -rhs, rcond=None)
     return dict(zip(unknowns, x.tolist()))

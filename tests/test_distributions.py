@@ -27,6 +27,7 @@ from homogenize import (
     three_value,
     two_component,
 )
+from homogenize import distributions as dist_mod
 from homogenize.distributions import DUALITY_GATE
 
 I_REF = 0.0683
@@ -327,6 +328,45 @@ class TestRelationRecovery:
         assert rel[(3, 3)] == pytest.approx(1 / 32 - I_REF, abs=1e-8)
         assert rel[(2, 4)] == pytest.approx(1 / 32 - 1.5 * I_REF, abs=1e-8)
         assert rel[(6,)] == pytest.approx(-1 / 32, abs=1e-8)
+
+    def test_fits_match_per_map_residuals_bit_for_bit(self, monkeypatch):
+        # the fits build one moment series per probe and evaluate every
+        # coefficient map against it; each residual must equal the one-map path
+        made, calls = [], []
+        probe_series, series_residual = dist_mod._probe_series, dist_mod._series_residual
+
+        def spy_series(p, alpha, order, max_moment):
+            made.append((probe_series(p, alpha, order, max_moment), (p, alpha, order)))
+            return made[-1][0]
+
+        def spy_residual(series, coeff_map):
+            key = next(key for s, key in made if s is series)
+            calls.append((key, dict(coeff_map), series_residual(series, coeff_map)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(dist_mod, "_probe_series", spy_series)
+        monkeypatch.setattr(dist_mod, "_series_residual", spy_residual)
+        recover_relations_order4(0.25)
+        recover_relations_order6(0.25, 1 / 16, I_REF)
+        monkeypatch.undo()
+        probes = len(dist_mod._PROBES)
+        assert len(made) == 2 * probes
+        assert len(calls) == probes * (3 + 5)  # a zero map plus one bump per unknown
+        for (p, alpha, order), coeff_map, res in calls:
+            assert np.array_equal(res, dist_mod._three_value_residual(p, alpha, coeff_map, order))
+
+    # The fits as the one-map-at-a-time path gave them, before the moment
+    # series were shared across coefficient maps.
+    @pytest.mark.parametrize("args, expected", [
+        ((0.25,), {(4,): "-0x1.0000000000000p-3", (2, 2): "0x1.4e916d82b798bp-52"}),
+        ((0.4,), {(4,): "-0x1.6666666666668p-2", (2, 2): "0x1.cccccccccccfep-3"}),
+        ((0.25, 1 / 16, I_REF), {
+            (6,): "-0x1.0000000000097p-5", (2, 4): "-0x1.23a29c779a53cp-4",
+            (3, 3): "-0x1.2f837b4a230f0p-5", (2, 2, 2): "0x1.474538ef349c2p-5"}),
+    ])
+    def test_fitted_values_unchanged(self, args, expected):
+        recover = recover_relations_order4 if len(args) == 1 else recover_relations_order6
+        assert recover(*args) == {sig: float.fromhex(h) for sig, h in expected.items()}
 
 
 class TestFileFormat:

@@ -44,6 +44,30 @@ def _dense_corrector(net, direction):
     return phi, estimate
 
 
+def _roll_laplacian(sig, phi):
+    """Weighted torus Laplacian of the (d, L, ..., L) conductances applied to phi,
+    by np.roll copies, in the solver's order of operations."""
+    out = np.zeros_like(phi)
+    for a in range(sig.shape[0]):
+        flux = sig[a] * (np.roll(phi, -1, axis=a) - phi)
+        out += np.roll(flux, 1, axis=a)
+        out -= flux
+    return out
+
+
+def _energy_tensor(net, tol=1e-13):
+    """sigma_ab = mean over sites of sum_c s_c (delta_ac + grad_c phi_a)(delta_bc + grad_c phi_b),
+    phi_a the corrector with its mean field along axis a."""
+    d, L = net.d, net.L
+    sig = net.conductances.reshape((d,) + (L,) * d)
+    fields = []
+    for a in range(d):
+        phi = solve_corrector(net, direction=a + 1, tol=tol).phi.reshape((L,) * d)
+        fields.append([float(a == c) + np.roll(phi, -1, axis=c) - phi for c in range(d)])
+    return np.array([[sum(np.mean(sig[c] * fields[a][c] * fields[b][c]) for c in range(d))
+                      for b in range(d)] for a in range(d)])
+
+
 class TestSampling:
     def test_constant_law_fills_uniformly(self):
         net = sample_network(2, 8, constant(1.0), seed=0)
@@ -133,6 +157,74 @@ class TestCorrector:
             solve_corrector(net, tol=1e-20)
         assert failure.value.iterations == 100 * 8 * 2
         assert 0.0 < failure.value.residual < 1e-10
+
+
+class TestStencil:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("L", [4, 5, 8])
+    def test_matches_the_roll_reference_bit_for_bit(self, d, L):
+        rng = np.random.default_rng(d * 10 + L)
+        sig = rng.uniform(0.1, 10.0, (d,) + (L,) * d)
+        phi = rng.standard_normal((L,) * d)
+        out, flux = np.full_like(phi, np.nan), np.full_like(phi, np.nan)
+        resistor_mod._stencil(sig, phi, out, flux)
+        assert np.array_equal(out, _roll_laplacian(sig, phi))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("L", [4, 5, 8])
+    def test_solution_checks_against_the_roll_reference(self, d, L):
+        for direction in range(1, d + 1):
+            net = sample_network(d, L, three_value(0.5, -1.0, 0.3), seed=7, sample_index=direction)
+            sig = net.conductances.reshape((d,) + (L,) * d)
+            sol = solve_corrector(net, direction=direction)
+            phi = sol.phi.reshape((L,) * d)
+            s = sig[direction - 1]
+            rhs = s - np.roll(s, 1, axis=direction - 1)
+            residual = np.linalg.norm(rhs - _roll_laplacian(sig, phi)) / np.linalg.norm(rhs)
+            # phi lost its mean after the residual was taken, which moves it by ~1e-5 relative
+            assert sol.residual == pytest.approx(residual, rel=1e-4)
+            energy = sum(
+                np.mean(sig[c] * (float(c == direction - 1) + np.roll(phi, -1, axis=c) - phi) ** 2)
+                for c in range(d)
+            )
+            assert sol.estimate == pytest.approx(energy, rel=1e-12)
+
+    def test_symbol_cache_keeps_sizes_apart(self):
+        law = two_component(0.6, 1.4)
+        nets = {L: sample_network(2, L, law, seed=3) for L in (8, 9)}
+
+        def solve(L):
+            sol = solve_corrector(nets[L])
+            return sol.phi.tobytes(), sol.estimate, sol.residual, sol.iterations, sol.born
+
+        fresh = {}
+        for L in (8, 9):
+            resistor_mod._inverse_symbol.cache_clear()
+            fresh[L] = solve(L)
+        for L in (8, 9, 8):
+            assert solve(L) == fresh[L]
+        assert not resistor_mod._inverse_symbol(2, 8).flags.writeable
+
+
+class TestTorusDuality:
+    # Keller duality on the discrete torus: primal bond (x, e1) becomes dual
+    # bond (x - e2, e2) and (x, e2) becomes (x - e1, e1), each with conductance
+    # 1/c.  Then sigma(G*) = J sigma(G)^-1 J^T = sigma(G) / det sigma(G) holds
+    # sample by sample, J the 90 degree rotation.
+    @pytest.mark.parametrize("atoms", [2, 3])
+    @pytest.mark.parametrize("L", [4, 8, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dual_network_has_the_rotated_inverse_tensor(self, atoms, L, seed):
+        rng = np.random.default_rng([atoms, L, seed])
+        law = DistributionSpec(atoms=tuple(zip(10.0 ** rng.uniform(-1, 1, atoms),
+                                               rng.dirichlet(np.ones(atoms)))))
+        net = sample_network(2, L, law, seed=seed)
+        c = net.conductances.reshape(2, L, L)
+        dual_c = np.stack([np.roll(1.0 / c[1], -1, axis=0), np.roll(1.0 / c[0], -1, axis=1)])
+        dual_net = resistor_mod.TorusNetwork(2, L, dual_c.reshape(2, -1), seed=seed)
+        sigma, sigma_dual = _energy_tensor(net), _energy_tensor(dual_net)
+        expected = sigma / np.linalg.det(sigma)
+        assert np.max(np.abs(sigma_dual - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestEstimator:
