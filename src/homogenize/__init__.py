@@ -65,7 +65,7 @@ from .kernel import (
     load_table,
     save_table,
 )
-from .lattice import Bond, compositions, make_path, path_cumulant, path_moment
+from .lattice import compositions, path_cumulant, path_moment
 from .resistor import (
     SigmaEstimate,
     TorusNetwork,

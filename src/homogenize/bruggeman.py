@@ -10,7 +10,7 @@ expansion's terms through order 3 in any dimension and through order 4 in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def bruggeman_series(dist: DistributionSpec, d: int, order: int) -> SeriesResult
     bmap = bruggeman_coefficients(d, order)
     coeffs = ExpansionCoefficients(d=d, order=order, a=bmap, err={sig: 0.0 for sig in bmap})
     mom = moments(dist, order)
-    return evaluate_series(coeffs, mom, with_bound=False)
+    return replace(evaluate_series(coeffs, mom), remainder_bound=None)
 
 
 def compare(dist: DistributionSpec, d: int, constants: DimensionConstants) -> ComparisonReport:

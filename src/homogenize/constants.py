@@ -3,23 +3,17 @@
 All constants are real-space lattice power sums of the kernel (cubes and
 fourth powers), which by Parseval equal the defining momentum-space
 integrals; summing the table is the only route that stays feasible past
-d = 2.  Every value carries an error estimate combining the propagated
-quadrature defect of the table with half the extrapolated tail (the tail is
-added to the value, and its own uncertainty is taken as half its size).
+d = 2.  Every value carries the error estimate of its power sums,
+`PowerSum.err`: the propagated quadrature defect of the table plus half the
+extrapolated tail (the tail is added to the value, and its own uncertainty
+is taken as half its size).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import (
-    KernelTable,
-    _int_power,
-    gamma,
-    get_kernel_table,
-    lattice_power_sum,
-    power_sum_quad_error,
-)
+from .kernel import KernelTable, _int_power, gamma, get_kernel_table, lattice_power_sum
 
 
 @dataclass(frozen=True)
@@ -70,24 +64,26 @@ def dimension_constants(
     off-axis channels for a > 2 equal the (1, 2) one by coordinate symmetry.
     K5(d) = 3(d-2)/d^4 + I(d) - (4/d) * sum_{z != 0} G_11(z)^3, with the
     off-origin cube sum read off the same box sum as H (it vanishes
-    identically in 2D).
+    identically in 2D).  With a prebuilt table, d, N and R may be given
+    only if they agree with it.
     """
     if table is None:
         if d is None:
             raise ValueError("pass a dimension or a prebuilt table")
         table = get_kernel_table(d, N=N, R=R)
+    for name, given, have in (("d", d, table.d), ("N", N, table.N), ("R", R, table.R)):
+        if given is not None and given != have:
+            raise ValueError(f"{name}={given} disagrees with the table's {name}={have}")
     d = table.d
     cube = lattice_power_sum(table, 1, 1, 3)
-    cube_err = power_sum_quad_error(table, 1, 1, 3) + 0.5 * abs(cube.tail)
     h = -(d**3) * (cube.value + cube.tail)
-    eh = d**3 * cube_err
+    eh = d**3 * cube.err
 
     p1 = lattice_power_sum(table, 1, 1, 4)
     p2 = lattice_power_sum(table, 1, 2, 4)
     i1 = p1.value + p1.tail
     i2 = p2.value + p2.tail
-    e1 = power_sum_quad_error(table, 1, 1, 4) + 0.5 * abs(p1.tail)
-    e2 = power_sum_quad_error(table, 1, 2, 4) + 0.5 * abs(p2.tail)
+    e1, e2 = p1.err, p2.err
     i = i1 + (d - 1) * i2
     ei = e1 + (d - 1) * e2
 
@@ -96,7 +92,7 @@ def dimension_constants(
     origin = _int_power(gamma(table, 1, 1, (0,) * d), 3)
     s3 = (cube.value - origin) + cube.tail
     k5 = 3.0 * (d - 2) / d**4 + i - (4.0 / d) * s3
-    ek5 = ei + (4.0 / d) * cube_err
+    ek5 = ei + (4.0 / d) * cube.err
 
     err = {"H": eh, "I1": e1, "I2": e2, "I": ei, "K5": ek5}
     consts = DimensionConstants(

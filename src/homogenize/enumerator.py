@@ -10,10 +10,11 @@ the lattice box and the directions.
 Families are generated as set partitions of the k positions into blocks of
 size >= 2 (one block per distinct bond) rather than hard-coded, and paths
 whose cumulant vanishes are kept and evaluated: both the combinatorics and
-the cumulant algebra are exercised, not assumed.  The free-site sums are the
-kernel's own lattice power sums over the whole table, with their shell-fit
-tail; half the tail and the propagated quadrature defect enter the
-per-coefficient error estimate.
+the cumulant algebra are exercised, not assumed.  A family's cumulant is
+that of its label pattern, which is all the cumulant depends on.  The
+free-site sums are the kernel's own lattice power sums over the whole
+table, each carrying its error (half the shell-fit tail plus the propagated
+quadrature defect), which enters the per-coefficient error estimate.
 
 The moments are symbolic, so the result is a sparse polynomial in the moment
 variables, i.e. the expansion coefficients themselves, obtained with no
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from . import lattice
 from .distributions import Moments
 from .errors import CapabilityError
-from .kernel import KernelTable, gamma, lattice_power_sum, power_sum_quad_error
+from .kernel import KernelTable, gamma, lattice_power_sum
 
 MAX_K = 5
 
@@ -160,7 +161,7 @@ def _set_partitions(items):
         yield [[first]] + part
 
 
-def enumerate_families(k: int, d: int) -> list[PathFamily]:
+def enumerate_families(k: int) -> list[PathFamily]:
     """All repetition patterns of k positions with every bond used >= 2 times.
 
     For k <= 5 this yields at most two blocks.  Patterns whose cumulant
@@ -169,8 +170,6 @@ def enumerate_families(k: int, d: int) -> list[PathFamily]:
     """
     if not 2 <= k <= MAX_K:
         raise CapabilityError(f"enumeration supports 2 <= k <= {MAX_K}, got {k}")
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
     families = []
     for part in _set_partitions(list(range(k))):
         if any(len(block) < 2 for block in part):
@@ -189,12 +188,6 @@ def enumerate_families(k: int, d: int) -> list[PathFamily]:
     return families
 
 
-def _representative_path(family: PathFamily):
-    """A concrete path with the family's repetition pattern (two distinct bonds)."""
-    bonds = (lattice.Bond((0,), 1), lattice.Bond((1,), 1))
-    return tuple(bonds[lbl] for lbl in family.pattern)
-
-
 @dataclass(frozen=True)
 class EnumeratedOrder:
     """Order-k term as a polynomial in the moments, with error estimates."""
@@ -208,13 +201,13 @@ class EnumeratedOrder:
 def enumerate_order(k: int, table: KernelTable) -> EnumeratedOrder:
     """Sum every family of order k over the whole table, with symbolic moments."""
     d = table.d
-    families = enumerate_families(k, d)
+    families = enumerate_families(k)
     provider = SymbolicMoments(k)
     g0 = gamma(table, 1, 1, (0,) * d)
     total = err = MomentPolynomial.zero()
 
     for family in families:
-        cumulant = lattice.path_cumulant(_representative_path(family), provider)
+        cumulant = lattice.path_cumulant(family.pattern, provider)
         size = cumulant.abs_coefficients()
         if family.n_blocks == 1:
             total = total + cumulant * g0 ** (k - 1)
@@ -230,10 +223,9 @@ def enumerate_order(k: int, table: KernelTable) -> EnumeratedOrder:
         site_sum = site_err = 0.0
         for alpha in directions:
             ps = lattice_power_sum(table, 1, alpha, n_cross, include_origin=(alpha != 1))
-            quad = power_sum_quad_error(table, 1, alpha, n_cross)
             scalar = g0**n_pin * gamma(table, alpha, alpha, (0,) * d) ** n_free
             site_sum += scalar * (ps.value + ps.tail)
-            site_err += abs(scalar) * (0.5 * abs(ps.tail) + quad)
+            site_err += abs(scalar) * ps.err
         total = total + cumulant * site_sum
         err = err + size * site_err
     return EnumeratedOrder(k=k, polynomial=total, error=err, families=tuple(families))

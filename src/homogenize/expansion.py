@@ -108,9 +108,7 @@ def remainder_bound(u0: float, order: int, mean_sigma: float) -> float | None:
     return (2.0 * u0) ** (order + 1) / (1.0 - 2.0 * u0) * mean_sigma
 
 
-def evaluate_series(
-    coeffs: ExpansionCoefficients, mom: Moments, with_bound: bool = True
-) -> SeriesResult:
+def evaluate_series(coeffs: ExpansionCoefficients, mom: Moments) -> SeriesResult:
     """Evaluate a coefficient map on precomputed moments."""
     terms: dict[int, float] = {k: 0.0 for k in range(2, coeffs.order + 1)}
     for sig, coef in coeffs.a.items():
@@ -119,12 +117,11 @@ def evaluate_series(
             prod *= mom.u_moment(s)
         terms[sum(sig)] += prod
     sigma = mom.mean_sigma * (1.0 + sum(terms.values()))
-    bound = remainder_bound(mom.u0, coeffs.order, mom.mean_sigma) if with_bound else None
     return SeriesResult(
         sigma_e=float(sigma),
         mean_sigma=mom.mean_sigma,
         terms=terms,
-        remainder_bound=bound,
+        remainder_bound=remainder_bound(mom.u0, coeffs.order, mom.mean_sigma),
         order=coeffs.order,
         valid=mom.u0 < 0.5,
     )

@@ -9,14 +9,16 @@ real half-grid lam < 1/2 contracted with one small real matrix per axis.
 
 Only channels (1, 1) and (1, 2) are built and stored: by cubic symmetry
 G_aa(z) = G_11(z_a, other coordinates), G_ab(z) = G_12(z_a, z_b, other
-coordinates) for a < b, and G_ab(z) = G_ba(-z).
+coordinates) for a < b, and G_ab(z) = G_ba(-z); `channel_array` returns
+every other channel as a view of a stored one.
 
 Key exact properties, checked in tests:
   * G_aa(0) = -1/d  (machine-exact on the midpoint grid, by symmetry),
   * in 2D, G_11(x, y) = -G_11(y, x) for (x, y) != 0.
 
-Lattice power sums over the stored box carry a tail estimate from a power
-law fitted to the outermost shell sums; the fit is empirical, not a bound.
+Lattice power sums over the stored box carry their error: a tail estimate
+from a power law fitted to the outermost shell sums (empirical, not a bound)
+and the propagated quadrature defect.
 """
 
 from __future__ import annotations
@@ -72,6 +74,12 @@ class KernelTable:
 class PowerSum(NamedTuple):
     value: float  # sum over the stored box
     tail: float   # signed shell-extrapolation estimate of the |z| > R remainder
+    quad: float = 0.0  # propagated quadrature defect, over the whole box
+
+    @property
+    def err(self) -> float:
+        """Error estimate of value + tail: the quadrature term plus half the tail."""
+        return self.quad + 0.5 * abs(self.tail)
 
 
 def build_kernel_table(d: int, N: int, R: int) -> KernelTable:
@@ -171,39 +179,30 @@ def direct_quadrature(d: int, N: int, z, a: int, b: int) -> float:
     return _folded_sum(d, N, a, b, [[int(c)] for c in z]).item()
 
 
-@lru_cache(maxsize=None)
-def _base_order(d: int, alpha: int, beta: int):
-    """Base channel of (alpha, beta), alpha <= beta, and the site order into it:
-    G_alpha,beta(z) = values[key][z[order[0]] + R, ..., z[order[d-1]] + R]."""
-    lead = (alpha - 1,) if alpha == beta else (alpha - 1, beta - 1)
-    return _BASE[len(lead) - 1], lead + tuple(ax for ax in range(d) if ax not in lead)
+def channel_array(table: KernelTable, alpha: int, beta: int) -> np.ndarray:
+    """Full box array for channel (alpha, beta): a base channel with its
+    leading axes moved to alpha - 1 (and beta - 1), reversed if alpha > beta."""
+    if not (1 <= alpha <= table.d and 1 <= beta <= table.d):
+        raise ValueError(f"direction indices must lie in 1..{table.d}")
+    lo, hi = sorted((alpha - 1, beta - 1))
+    if lo == hi:
+        arr = np.moveaxis(table.values[(1, 1)], 0, lo)
+    else:
+        arr = np.moveaxis(table.values[(1, 2)], (0, 1), (lo, hi))
+    if alpha > beta:
+        arr = arr[(slice(None, None, -1),) * table.d]
+    return arr
 
 
 def gamma(table: KernelTable, alpha: int, beta: int, z) -> float:
-    """Kernel value G_alpha,beta(z), |z|_inf <= R, read off its base channel."""
+    """Kernel value G_alpha,beta(z), |z|_inf <= R, read off `channel_array`."""
     d, R = table.d, table.R
-    if not (1 <= alpha <= d and 1 <= beta <= d):
-        raise ValueError(f"direction indices must lie in 1..{d}")
     z = tuple(int(c) for c in z)
     if len(z) != d:
         raise ValueError(f"site must have {d} coordinates")
     if any(abs(c) > R for c in z):
         raise ValueError(f"site {z} outside stored box |z|_inf <= {R}")
-    if alpha > beta:
-        alpha, beta, z = beta, alpha, tuple(-c for c in z)
-    key, order = _base_order(d, alpha, beta)
-    return float(table.values[key][tuple(z[ax] + R for ax in order)])
-
-
-def channel_array(table: KernelTable, alpha: int, beta: int) -> np.ndarray:
-    """Full box array for channel (alpha, beta): a view of a base channel."""
-    if not (1 <= alpha <= table.d and 1 <= beta <= table.d):
-        raise ValueError(f"direction indices must lie in 1..{table.d}")
-    key, order = _base_order(table.d, min(alpha, beta), max(alpha, beta))
-    arr = table.values[key].transpose(np.argsort(order))
-    if alpha > beta:
-        arr = arr[(slice(None, None, -1),) * table.d]
-    return arr
+    return float(channel_array(table, alpha, beta)[tuple(c + R for c in z)])
 
 
 @lru_cache(maxsize=32)
@@ -292,17 +291,14 @@ def _int_power(x, p: int):
 def lattice_power_sum(
     table: KernelTable, alpha: int, beta: int, p: int, include_origin: bool = True
 ) -> PowerSum:
-    """Sum of G_alpha,beta(z)^p, p >= 1, over the stored box, with tail estimate."""
+    """Sum of G_alpha,beta(z)^p, p >= 1, over the stored box, with tail estimate
+    and quad = p * defect * sum |G|^(p-1) over the whole box, origin included."""
     if p < 1:
         raise ValueError("power p must be >= 1")
-    arr = _int_power(channel_array(table, alpha, beta), p)
-    return tail_corrected_sum(arr, table.R, table.d, include_origin=include_origin)
-
-
-def power_sum_quad_error(table: KernelTable, alpha: int, beta: int, p: int) -> float:
-    """First-order propagation of the per-value quadrature defect into a power sum."""
-    arr = np.abs(channel_array(table, alpha, beta))
-    return float(p * table.quad_defect * _int_power(arr, p - 1).sum())
+    arr = channel_array(table, alpha, beta)
+    ps = tail_corrected_sum(_int_power(arr, p), table.R, table.d, include_origin=include_origin)
+    quad = float(p * table.quad_defect * _int_power(np.abs(arr), p - 1).sum())
+    return ps._replace(quad=quad)
 
 
 # ---------------------------------------------------------------------------

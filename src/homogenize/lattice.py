@@ -1,62 +1,37 @@
-"""Path combinatorics over lattice bonds.
+"""Path combinatorics over label patterns.
 
-A bond is a (site, direction) pair; a path is a finite ordered sequence of
-bonds, where consecutive bonds need not be lattice neighbours.  The two
-quantities computed here are the factorized path moment over i.i.d. bond
-disorder and the ordered cumulant, an inclusion-exclusion over contiguous
-compositions of the path.  Both vanish whenever some bond occurs exactly
-once, because the disorder variable u has zero mean.
+A path is a finite ordered sequence of labels, one per position; positions
+with equal labels sit on the same lattice bond.  Under i.i.d. bond disorder
+the two quantities computed here depend only on that repetition pattern,
+not on which bonds the labels name: the factorized path moment, and the
+ordered cumulant, an inclusion-exclusion over contiguous compositions of
+the path.  Both vanish whenever some label occurs exactly once, because the
+disorder variable u has zero mean.
 
-All functions are pure and accept any moment provider exposing
-``u_moment(n)`` and ``max_order``; values may be floats or any ring-like
-objects supporting ``+`` and ``*`` (the enumerator passes polynomials).
+All functions are pure; they accept any tuple of hashable labels and any
+moment provider exposing ``u_moment(n)`` and ``max_order``; values may be
+floats or any ring-like objects supporting ``+`` and ``*`` (the enumerator
+passes polynomials).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import NamedTuple, Sequence
 
 #: Compositions grow as 2^(k-1); beyond this length the cumulant sum is
 #: useless at desk scale.
 MAX_PATH_LEN = 8
 
 
-class Bond(NamedTuple):
-    """A lattice bond addressed as (site, direction)."""
-
-    z: tuple[int, ...]
-    alpha: int
-
-
-Path = tuple  # ordered tuple of Bond
-
-
-def make_path(pairs: Sequence[tuple[Sequence[int], int]]) -> Path:
-    """Build a validated path from (site, direction) pairs.
-
-    Raises ValueError for empty input, paths longer than MAX_PATH_LEN,
-    direction indices < 1, or sites of inconsistent dimension.
-    """
-    bonds = tuple(Bond(tuple(int(c) for c in z), int(alpha)) for z, alpha in pairs)
-    _check_path(bonds)
-    return bonds
-
-
-def _check_path(path: Path) -> None:
+def _check_path(path: tuple) -> None:
     if len(path) < 1:
-        raise ValueError("path must contain at least one bond")
+        raise ValueError("path must contain at least one position")
     if len(path) > MAX_PATH_LEN:
         raise ValueError(f"path length {len(path)} exceeds cap {MAX_PATH_LEN}")
-    dims = {len(b.z) for b in path}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent site dimensions in path: {sorted(dims)}")
-    if any(b.alpha < 1 for b in path):
-        raise ValueError("direction indices must be >= 1")
 
 
-def compositions(path: Path, m: int) -> list[tuple[Path, ...]]:
+def compositions(path: tuple, m: int) -> list[tuple[tuple, ...]]:
     """All splits of `path` into m contiguous nonempty blocks, in order.
 
     There are C(k-1, m-1) of them for a path of length k; the blocks always
@@ -73,11 +48,11 @@ def compositions(path: Path, m: int) -> list[tuple[Path, ...]]:
     return out
 
 
-def path_moment(path: Path, moments):
-    """Moment of a path: product over distinct bonds of <u^multiplicity>.
+def path_moment(path: tuple, moments):
+    """Moment of a path: product over distinct labels of <u^multiplicity>.
 
     Under i.i.d. bond disorder the expectation of the product factorizes over
-    distinct bonds.  Any bond of multiplicity 1 contributes <u> = 0 and kills
+    distinct bonds.  Any label of multiplicity 1 contributes <u> = 0 and kills
     the whole product.
     """
     _check_path(path)
@@ -93,11 +68,11 @@ def path_moment(path: Path, moments):
     return result
 
 
-def path_cumulant(path: Path, moments):
+def path_cumulant(path: tuple, moments):
     """Ordered cumulant: alternating sum over contiguous compositions.
 
     E(path) = sum_m (-1)^(m-1) sum_{splits into m blocks} prod_j <block_j>.
-    Vanishes whenever the path contains a bond appearing exactly once.
+    Vanishes whenever the path contains a label appearing exactly once.
     """
     _check_path(path)
     k = len(path)

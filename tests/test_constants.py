@@ -87,6 +87,20 @@ class TestFormulaReduction:
         consts, table = dimension_constants(table=table3)
         assert consts.d == 3 and table is table3
 
+    def test_conflicting_dimension_refused(self, table2):
+        with pytest.raises(ValueError, match="d=3"):
+            dimension_constants(3, table=table2)
+        consts, _ = dimension_constants(2, table=table2, N=table2.N, R=table2.R)
+        assert consts.d == 2
+
+    def test_conflicting_resolution_refused(self, table2):
+        with pytest.raises(ValueError, match="N=64"):
+            dimension_constants(table=table2, N=64)
+
+    def test_conflicting_radius_refused(self, table2):
+        with pytest.raises(ValueError, match="R=8"):
+            dimension_constants(table=table2, R=8)
+
 
 #: Grids refined from DEFAULTS in both N and R.
 REFINED = {2: (1024, 48), 3: (128, 16), 4: (48, 8), 5: (24, 5)}

@@ -13,20 +13,20 @@ from homogenize import (
     moments,
     two_component,
 )
-from homogenize.enumerator import SymbolicMoments, _representative_path
+from homogenize.enumerator import SymbolicMoments
 
 
 class TestFamilies:
     @pytest.mark.parametrize("k,count", [(2, 1), (3, 1), (4, 4), (5, 11)])
     def test_family_counts(self, k, count):
-        assert len(enumerate_families(k, 2)) == count
+        assert len(enumerate_families(k)) == count
 
     def test_k4_patterns(self):
-        patterns = {f.pattern for f in enumerate_families(4, 2)}
+        patterns = {f.pattern for f in enumerate_families(4)}
         assert patterns == {(0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)}
 
     def test_k5_contains_published_patterns(self):
-        patterns = {f.pattern for f in enumerate_families(5, 3)}
+        patterns = {f.pattern for f in enumerate_families(5)}
         published = {
             (0, 0, 0, 0, 0),
             (0, 1, 1, 1, 0), (0, 0, 1, 1, 0), (0, 1, 0, 1, 0), (0, 1, 1, 0, 0),
@@ -38,26 +38,26 @@ class TestFamilies:
 
     def test_multiplicities_at_least_two(self):
         for k in range(2, 6):
-            for fam in enumerate_families(k, 2):
+            for fam in enumerate_families(k):
                 assert min(fam.multiplicities) >= 2
                 assert sum(fam.multiplicities) == k
 
     def test_direction_pinning(self):
-        by_pattern = {f.pattern: f for f in enumerate_families(4, 2)}
+        by_pattern = {f.pattern: f for f in enumerate_families(4)}
         assert by_pattern[(0, 1, 0, 1)].direction_pinned  # free bond owns the last slot
         assert not by_pattern[(0, 1, 1, 0)].direction_pinned
 
     def test_sequential_patterns_have_zero_cumulant(self):
-        for fam in enumerate_families(5, 2):
+        for fam in enumerate_families(5):
             if fam.pattern in {(0, 0, 1, 1, 1), (0, 0, 0, 1, 1)}:
-                poly = lattice.path_cumulant(_representative_path(fam), SymbolicMoments(5))
+                poly = lattice.path_cumulant(fam.pattern, SymbolicMoments(5))
                 assert poly.terms == {}
 
     def test_k_range(self):
         with pytest.raises(CapabilityError):
-            enumerate_families(6, 2)
+            enumerate_families(6)
         with pytest.raises(CapabilityError):
-            enumerate_families(1, 2)
+            enumerate_families(1)
 
 
 class TestMomentPolynomial:
@@ -115,8 +115,8 @@ class TestAk:
         # the cumulant algebra in float arithmetic against the polynomial ring
         mom = moments(two_component(1.0, 4.0), 5)
         for k in range(2, 6):
-            for fam in enumerate_families(k, 2):
-                path = _representative_path(fam)
+            for fam in enumerate_families(k):
+                path = fam.pattern
                 numeric = lattice.path_cumulant(path, mom)
                 symbolic = lattice.path_cumulant(path, SymbolicMoments(k)).evaluate(mom)
                 assert numeric == pytest.approx(symbolic, rel=1e-12, abs=1e-15), fam

@@ -1,4 +1,4 @@
-"""Path combinatorics: compositions, moments, and the ordered cumulant."""
+"""Path combinatorics on label patterns: compositions, moments, and the ordered cumulant."""
 
 import itertools
 import math
@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homogenize import compositions, make_path, path_cumulant, path_moment
+from homogenize import compositions, path_cumulant, path_moment
 from homogenize.distributions import moments, two_component
-
-
-def P(*pairs):
-    return make_path([((z,) if isinstance(z, int) else z, a) for z, a in pairs])
+from homogenize.enumerator import SymbolicMoments
 
 
 class FakeMoments:
@@ -49,22 +46,22 @@ def brute_cumulant(path, mom):
 
 class TestCompositions:
     def test_length2_single_split(self):
-        path = P((0, 1), (1, 1))
+        path = ("a", "b")
         assert compositions(path, 2) == [((path[0],), (path[1],))]
 
     def test_length4_three_splits(self):
-        path = P((0, 1), (1, 1), (2, 1), (3, 1))
+        path = (0, 1, 2, 3)
         assert len(compositions(path, 2)) == 3
 
     def test_length5_m3_count_matches_brute_force(self):
-        path = P(*[(i, 1) for i in range(5)])
+        path = tuple(range(5))
         splits = compositions(path, 3)
         # oracle: choose 2 cut points among 4
         assert len(splits) == len(list(itertools.combinations(range(1, 5), 2))) == 6
         assert len(set(splits)) == 6
 
     def test_out_of_range_m(self):
-        path = P((0, 1), (1, 1))
+        path = ("a", "b")
         with pytest.raises(ValueError):
             compositions(path, 0)
         with pytest.raises(ValueError):
@@ -75,7 +72,7 @@ class TestCompositions:
     def test_blocks_concatenate_back(self, k, m):
         if m > k:
             return
-        path = P(*[(i, 1 + i % 3) for i in range(k)])
+        path = tuple((i, 1 + i % 3) for i in range(k))
         for blocks in compositions(path, m):
             assert all(len(b) >= 1 for b in blocks)
             assert sum(blocks, ()) == path
@@ -84,32 +81,32 @@ class TestCompositions:
 
 class TestPathMoment:
     def test_single_bond_twice(self):
-        assert path_moment(P((0, 1), (0, 1)), MOM) == pytest.approx(MOM.u_moment(2))
+        assert path_moment(("a", "a"), MOM) == pytest.approx(MOM.u_moment(2))
 
     def test_two_singletons_vanish(self):
-        assert path_moment(P((0, 1), (3, 1)), MOM) == 0.0
+        assert path_moment(("a", "b"), MOM) == 0.0
 
     def test_factorizes_over_distinct_bonds(self):
-        path = make_path([((0, 0), 1), ((3, 0), 2), ((3, 0), 2), ((0, 0), 1)])
+        path = ("a", "b", "b", "a")
         assert path_moment(path, MOM) == pytest.approx(MOM.u_moment(2) ** 2)
 
     def test_insufficient_order(self):
         shallow = moments(two_component(1.0, 4.0), 2)
         with pytest.raises(ValueError):
-            path_moment(P((0, 1), (0, 1), (0, 1)), shallow)
+            path_moment(("a", "a", "a"), shallow)
 
 
 class TestPathCumulant:
     def test_double_bond(self):
-        assert path_cumulant(P((0, 1), (0, 1)), MOM) == pytest.approx(MOM.u_moment(2))
+        assert path_cumulant(("a", "a"), MOM) == pytest.approx(MOM.u_moment(2))
 
     def test_nested_pairs_vanish(self):
         # consecutive repetition groups: (b b c c) has zero cumulant
-        path = P((0, 1), (0, 1), (5, 1), (5, 1))
+        path = ("b", "b", "c", "c")
         assert path_cumulant(path, MOM) == pytest.approx(0.0, abs=1e-15)
 
     def test_interleaved_pairs(self):
-        path = P((0, 1), (5, 1), (0, 1), (5, 1))
+        path = ("b", "c", "b", "c")
         expected = brute_cumulant(path, MOM)
         assert expected == pytest.approx(MOM.u_moment(2) ** 2)
         assert path_cumulant(path, MOM) == pytest.approx(expected)
@@ -117,38 +114,38 @@ class TestPathCumulant:
     @given(labels=st.lists(st.integers(0, 2), min_size=2, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_and_singleton_rule(self, labels):
-        path = P(*[(lbl, 1) for lbl in labels])
+        path = tuple(labels)
         got = path_cumulant(path, MOM)
         assert got == pytest.approx(brute_cumulant(path, MOM), abs=1e-14)
         if any(labels.count(l) == 1 for l in set(labels)):
             assert got == pytest.approx(0.0, abs=1e-14)
 
-    def test_translation_invariance(self):
-        a = make_path([((0, 0), 1), ((2, 1), 2), ((2, 1), 2), ((0, 0), 1)])
-        b = make_path([((5, -3), 1), ((7, -2), 2), ((7, -2), 2), ((5, -3), 1)])
-        assert path_cumulant(a, MOM) == pytest.approx(path_cumulant(b, MOM))
+    @given(
+        labels=st.lists(st.integers(0, 5), min_size=2, max_size=6),
+        names=st.permutations(["p", "q", "r", "s", "t", "u"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_depends_only_on_repetition_pattern(self, labels, names):
+        # relabelling by any bijection (ints to strings) keeps the cumulant exactly
+        path = tuple(labels)
+        renamed = tuple(names[lbl] for lbl in labels)
+        assert path_cumulant(renamed, MOM) == path_cumulant(path, MOM)
+        symbolic = SymbolicMoments(6)
+        assert path_cumulant(renamed, symbolic).terms == path_cumulant(path, symbolic).terms
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_signed_composition_counts_cancel(self, k):
         # with all block moments forced to 1, E = sum_m (-1)^(m-1) C(k-1, m-1) = 0
         ones = FakeMoments({n: 1.0 for n in range(1, 9)})
-        path = P(*[(0, 1)] * k)
+        path = ("a",) * k
         assert path_cumulant(path, ones) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestValidation:
     def test_empty_path(self):
         with pytest.raises(ValueError):
-            make_path([])
+            path_cumulant((), MOM)
 
     def test_path_too_long(self):
         with pytest.raises(ValueError):
-            make_path([((i,), 1) for i in range(9)])
-
-    def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            make_path([((0,), 0)])
-
-    def test_mixed_dimensions(self):
-        with pytest.raises(ValueError):
-            make_path([((0,), 1), ((0, 0), 1)])
+            path_cumulant(tuple(range(9)), MOM)
