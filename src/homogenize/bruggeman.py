@@ -5,7 +5,9 @@ unique positive root: the averaged fraction is decreasing in x, positive at
 the smallest atom and negative at the largest.  The root is bracketed and
 polished by damped Newton.  Its own moment expansion shares the exact
 expansion's terms through order 3 in any dimension and through order 4 in
-2D; the leading difference term and its sign are what `compare` reports.
+2D.  `compare` reads the gap off the two coefficient maps, exact minus
+Bruggeman, and reports its first order that stands above rounding on the
+law's moments, with the sign of that term.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import DimensionConstants
-from .distributions import DistributionSpec, moments
+from .distributions import DistributionSpec, moment_sum, moments
 from .errors import CapabilityError, SolverError
 from .expansion import (
     ExpansionCoefficients,
     SeriesResult,
+    coefficients,
     evaluate_series,
     max_order,
-    sigma_e_series,
 )
 
 _BISECT_REL_WIDTH = 1e-3
@@ -43,8 +45,8 @@ class ComparisonReport:
 
     leading_difference approximates sigma_e - sigma_B by its first
     non-shared expansion term (of total order leading_order in u);
-    predicted_sign is 'indeterminate' when that term is smaller than the
-    uncertainty of the constants entering its coefficient.
+    predicted_sign is 'indeterminate' when that term is within float
+    cancellation or the uncertainty of the constants entering it.
     """
 
     sigma_e_series: SeriesResult
@@ -153,56 +155,42 @@ def bruggeman_series(dist: DistributionSpec, d: int, order: int) -> SeriesResult
 def compare(dist: DistributionSpec, d: int, constants: DimensionConstants) -> ComparisonReport:
     """Sign and size of sigma_e - sigma_B at leading order in the disorder.
 
-    Three regimes: d >= 3 (difference appears at order 4, coefficient
-    (1 - H)/d^3 > 0); 2D with skewness (order 5, coefficient I - 1/16 > 0, so
-    the sign follows <u^3>); symmetric 2D (order 6, negative coefficient on
-    a nonnegative moment combination).
+    The order-k term is <sigma> sum gap_sig prod <u^s> over the signatures
+    of order k, with gap = coefficients().a - bruggeman_coefficients().  The
+    leading order is the first k whose term exceeds the cancellation floor
+    1e-9 u0^k <sigma> sum |gap_sig|, or max_order(d) when none does.  The
+    sign is 'indeterminate' when the term is at most the larger of that
+    floor and <sigma> sum err_sig prod |<u^s>|, the error the constants
+    give it.  The gap starts at order 4 in d >= 3, as (1 - H)/d^3 <u^2>^2;
+    in 2D at order 5, as (I - 1/16) <u^2><u^3>, or for symmetric laws at
+    order 6, as 1.5 (1/16 - I) <u^2>(<u^4> - <u^2>^2).
     """
     if d < 2:
         raise ValueError("comparison requires d >= 2")
     if constants.d != d:
         raise ValueError(f"constants are for d={constants.d}, not d={d}")
     order = max_order(d)
-    series = sigma_e_series(dist, d, order, constants)
-    root = solve_bruggeman(dist, d)
+    exact = coefficients(d, order, constants)
+    brug = bruggeman_coefficients(d, order)
     mom = moments(dist, order)
-
-    m2 = mom.u_moment(2)
-    u_scale = max(mom.u0, 1e-30)
-    if d >= 3:
-        coef = (1.0 - constants.H) / d**3
-        coef_err = constants.err["H"] / d**3
-        factor = m2**2
-        factor_scale = u_scale**4
-        case, lead_order = "d_ge_3_variance", 4
-    else:
-        m3 = mom.u_moment(3)
-        if abs(m3) > 1e-9 * u_scale**3:
-            coef = constants.I - 1.0 / 16.0
-            coef_err = constants.err["I"]
-            factor = m2 * m3
-            factor_scale = u_scale**5
-            case, lead_order = "2d_skewed", 5
-        else:
-            coef = 1.5 * (1.0 / 16.0 - constants.I)
-            coef_err = 1.5 * constants.err["I"]
-            spread = mom.u_moment(4) - m2**2  # <(u^2 - <u^2>)^2>
-            factor = m2 * spread
-            factor_scale = u_scale**6
-            case, lead_order = "2d_symmetric", 6
-
-    lead = series.mean_sigma * coef * factor
-    # below either threshold the term is inside the error bars (of the
-    # computed constants, or of float cancellation in the moments)
-    if abs(coef) <= coef_err or abs(factor) <= 1e-9 * factor_scale:
+    mean = mom.mean_sigma
+    for k in range(2, order + 1):
+        gap = {sig: a - brug[sig] for sig, a in exact.a.items() if sum(sig) == k}
+        lead = mean * moment_sum(gap, mom.u_moment)
+        floor = 1e-9 * mom.u0**k * mean * sum(abs(g) for g in gap.values())
+        if abs(lead) > floor:
+            break
+    err = mean * moment_sum({sig: exact.err[sig] for sig in gap}, lambda n: abs(mom.u_moment(n)))
+    if abs(lead) <= max(floor, err):
         sign = "indeterminate"
     else:
         sign = "positive" if lead > 0 else "negative"
+    case = "d_ge_3_variance" if d >= 3 else "2d_skewed" if k == 5 else "2d_symmetric"
     return ComparisonReport(
-        sigma_e_series=series,
-        sigma_B=root,
+        sigma_e_series=evaluate_series(exact, mom),
+        sigma_B=solve_bruggeman(dist, d),
         leading_difference=float(lead),
-        leading_order=lead_order,
+        leading_order=k,
         predicted_sign=sign,
         case=case,
     )

@@ -306,16 +306,8 @@ def cmd_reproduce(args) -> dict:
     _check(checks, "I2_d2", consts[2].I2, 0.00439, 5e-4)
     _check(checks, "I_d2", consts[2].I, 0.0683, 1e-3)
     hs = [consts[d].H for d in (2, 3, 4, 5)]
-    checks.append(
-        {
-            "name": "H_strictly_decreasing",
-            "value": 1.0 if h_strictly_decreasing(hs) else 0.0,
-            "target": 1.0,
-            "tol": 0.0,
-            "pass": h_strictly_decreasing(hs),
-            "H_values": hs,
-        }
-    )
+    _check(checks, "H_strictly_decreasing", float(h_strictly_decreasing(hs)), 1.0, 0.0,
+           H_values=hs)
     for d in (2, 3, 4, 5):
         _check(
             checks,
@@ -363,14 +355,9 @@ def cmd_reproduce(args) -> dict:
             abs(rel4[(2, 2)] - (1.5 * a3 - 0.375)), abs(rel4[(4,)] - (0.25 - 1.5 * a3))
         )
         _check(checks, f"relations_order4_a3={a3}", dev4, 0.0, 1e-8)
-    ival = consts[2].I
-    rel6 = recover_relations_order6(0.25, 1.0 / 16, ival)
-    dev6 = max(
-        abs(rel6[(2, 2, 2)] - (1.5 * ival - 1.0 / 16)),
-        abs(rel6[(3, 3)] - (1.0 / 32 - ival)),
-        abs(rel6[(2, 4)] - (1.0 / 32 - 1.5 * ival)),
-        abs(rel6[(6,)] - (-1.0 / 32)),
-    )
+    a = coeffs2.a
+    rel6 = recover_relations_order6(a[(3,)], a[(5,)], a[(2, 3)])
+    dev6 = max(abs(rel6[sig] - a[sig]) for sig in ((2, 2, 2), (3, 3), (2, 4), (6,)))
     _check(checks, "relations_order6", dev6, 0.0, 1e-8)
 
     # Keller-Dykhne closure

@@ -52,6 +52,23 @@ class Moments:
         return self.u_moments[n - 1]
 
 
+def moment_sum(terms: dict, u_moment, total=0.0):
+    """total + sum of coef * u_moment(s1) * u_moment(s2) * ... over a coefficient
+    map, added in the map's order; zero coefficients are skipped.
+
+    Every moment series is summed here, in whatever ring u_moment returns:
+    floats, moment polynomials, or power series in eps.
+    """
+    for sig, coef in terms.items():
+        if coef == 0.0:
+            continue
+        prod = coef
+        for n in sig:
+            prod = prod * u_moment(n)
+        total = total + prod
+    return total
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """A positive conductivity law: finitely many atoms, or raw moment input.
@@ -69,7 +86,6 @@ class DistributionSpec:
     raw_mean: float | None = None
     raw_u_moments: tuple[float, ...] | None = None
     raw_u0: float | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.atoms is not None:
@@ -120,20 +136,17 @@ class DistributionSpec:
             raise CapabilityError(f"{what} requires an atomic law, not raw moments")
 
 
-def two_component(s1: float, s2: float, p1: float = 0.5, label: str = "") -> DistributionSpec:
-    return DistributionSpec(atoms=((s1, p1), (s2, 1.0 - p1)), label=label)
+def two_component(s1: float, s2: float, p1: float = 0.5) -> DistributionSpec:
+    return DistributionSpec(atoms=((s1, p1), (s2, 1.0 - p1)))
 
 
-def constant(value: float, label: str = "") -> DistributionSpec:
-    return DistributionSpec(atoms=((value, 1.0),), label=label)
+def constant(value: float) -> DistributionSpec:
+    return DistributionSpec(atoms=((value, 1.0),))
 
 
-def three_value(eps: float, alpha: float, p: float, label: str = "") -> DistributionSpec:
+def three_value(eps: float, alpha: float, p: float) -> DistributionSpec:
     """The duality probe family: 1-eps, 1-alpha*eps, 1 with weights p, p, 1-2p."""
-    return DistributionSpec(
-        atoms=((1.0 - eps, p), (1.0 - alpha * eps, p), (1.0, 1.0 - 2.0 * p)),
-        label=label,
-    )
+    return DistributionSpec(atoms=((1.0 - eps, p), (1.0 - alpha * eps, p), (1.0, 1.0 - 2.0 * p)))
 
 
 def moments(dist: DistributionSpec, max_order: int) -> Moments:
@@ -161,10 +174,7 @@ def moments(dist: DistributionSpec, max_order: int) -> Moments:
 def dual(dist: DistributionSpec) -> DistributionSpec:
     """The law of 1/sigma."""
     dist._require_atoms("dual")
-    return DistributionSpec(
-        atoms=tuple((1.0 / v, p) for v, p in dist.atoms),
-        label=f"dual({dist.label})" if dist.label else "",
-    )
+    return DistributionSpec(atoms=tuple((1.0 / v, p) for v, p in dist.atoms))
 
 
 def scale(dist: DistributionSpec, c: float) -> DistributionSpec:
@@ -172,7 +182,7 @@ def scale(dist: DistributionSpec, c: float) -> DistributionSpec:
     dist._require_atoms("scale")
     if c <= 0:
         raise ValueError("scale factor must be positive")
-    return DistributionSpec(atoms=tuple((c * v, p) for v, p in dist.atoms), label=dist.label)
+    return DistributionSpec(atoms=tuple((c * v, p) for v, p in dist.atoms))
 
 
 def self_dual_scale(dist: DistributionSpec, tol: float = 1e-9) -> float | None:
@@ -319,20 +329,6 @@ def _eps_moments(values: list[PowerSeries], probs, max_moment: int):
     return mean, mom
 
 
-def _series_sigma_e(coeff_map: dict, mean: PowerSeries, mom: dict) -> PowerSeries:
-    """sigma_e as an eps-series: mean * (1 + sum coeff * moment products)."""
-    order = mean.order
-    s = PowerSeries.constant(1.0, order)
-    for sig, coef in coeff_map.items():
-        if coef == 0.0:
-            continue
-        term = PowerSeries.constant(coef, order)
-        for n in sig:
-            term = term * mom[n]
-        s = s + term
-    return mean * s
-
-
 def _probe_series(p: float, alpha: float, order: int, max_moment: int) -> tuple:
     """Mean and <u^n> eps-series, n = 2..max_moment, of the three-value family
     1 - eps, 1 - alpha*eps, 1 (weights p, p, 1 - 2p) and of its reciprocals."""
@@ -350,8 +346,9 @@ def _series_residual(series: tuple, coeff_map: dict) -> np.ndarray:
     """eps-coefficients of sigma_e({sigma}) * sigma_e({1/sigma}) - 1, from the
     `_probe_series` of a probe; its max_moment must cover coeff_map."""
     (mean_a, mom_a), (mean_b, mom_b) = series
-    sa = _series_sigma_e(coeff_map, mean_a, mom_a)
-    sb = _series_sigma_e(coeff_map, mean_b, mom_b)
+    one = PowerSeries.constant(1.0, mean_a.order)
+    sa = mean_a * moment_sum(coeff_map, mom_a.__getitem__, one)
+    sb = mean_b * moment_sum(coeff_map, mom_b.__getitem__, one)
     return (sa * sb - 1.0).c
 
 
@@ -493,7 +490,6 @@ def distribution_from_dict(data) -> DistributionSpec:
     """
     if not isinstance(data, dict):
         raise ValueError(f"a distribution file must hold a JSON object, got {json.dumps(data)}")
-    label = data.get("label", "")
     if "atoms" in data:
         atoms = []
         for i, atom in enumerate(_json_list(data["atoms"], "atoms")):
@@ -501,7 +497,7 @@ def distribution_from_dict(data) -> DistributionSpec:
                 raise ValueError(f"atoms[{i}] must be an object, got {json.dumps(atom)}")
             atoms.append((_number_field(atom, "value", f"atoms[{i}].value"),
                           _number_field(atom, "prob", f"atoms[{i}].prob")))
-        return DistributionSpec(atoms=tuple(atoms), label=label)
+        return DistributionSpec(atoms=tuple(atoms))
     if "u_moments" in data:
         u_moments = _json_list(data["u_moments"], "u_moments")
         return DistributionSpec(
@@ -509,7 +505,6 @@ def distribution_from_dict(data) -> DistributionSpec:
             raw_mean=_number_field(data, "mean", "mean"),
             raw_u_moments=tuple(_json_number(m, f"u_moments[{i}]") for i, m in enumerate(u_moments)),
             raw_u0=_number_field(data, "u0", "u0"),
-            label=label,
         )
     raise ValueError("distribution file needs an 'atoms' or 'u_moments' key")
 
@@ -525,8 +520,6 @@ def save_distribution(dist: DistributionSpec, path) -> None:
         data = {"atoms": [{"value": v, "prob": p} for v, p in dist.atoms]}
     else:
         data = {"u_moments": list(dist.raw_u_moments), "mean": dist.raw_mean, "u0": dist.raw_u0}
-    if dist.label:
-        data["label"] = dist.label
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lattice
-from .distributions import Moments
+from .distributions import Moments, moment_sum
 from .errors import CapabilityError
 from .kernel import KernelTable, gamma, lattice_power_sum
 
@@ -101,13 +101,7 @@ class MomentPolynomial:
         return MomentPolynomial({sig: abs(c) for sig, c in self.terms.items()})
 
     def evaluate(self, moments: Moments) -> float:
-        total = 0.0
-        for sig, coef in self.terms.items():
-            prod = coef
-            for n in sig:
-                prod *= moments.u_moment(n)
-            total += prod
-        return total
+        return moment_sum(self.terms, moments.u_moment)
 
     def __repr__(self):
         body = ", ".join(f"{sig}: {coef:.6g}" for sig, coef in sorted(self.terms.items()))

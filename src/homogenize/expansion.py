@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .constants import DimensionConstants
-from .distributions import DistributionSpec, Moments, moments
+from .distributions import DistributionSpec, Moments, moment_sum, moments
 from .errors import CapabilityError
 
 MAX_ORDER_2D = 6
@@ -110,12 +110,10 @@ def remainder_bound(u0: float, order: int, mean_sigma: float) -> float | None:
 
 def evaluate_series(coeffs: ExpansionCoefficients, mom: Moments) -> SeriesResult:
     """Evaluate a coefficient map on precomputed moments."""
-    terms: dict[int, float] = {k: 0.0 for k in range(2, coeffs.order + 1)}
-    for sig, coef in coeffs.a.items():
-        prod = coef
-        for s in sig:
-            prod *= mom.u_moment(s)
-        terms[sum(sig)] += prod
+    terms = {
+        k: moment_sum({sig: c for sig, c in coeffs.a.items() if sum(sig) == k}, mom.u_moment)
+        for k in range(2, coeffs.order + 1)
+    }
     sigma = mom.mean_sigma * (1.0 + sum(terms.values()))
     return SeriesResult(
         sigma_e=float(sigma),

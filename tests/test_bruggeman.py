@@ -245,3 +245,37 @@ class TestCompare:
             for p in (0.2, 0.3, 0.4):
                 rep = compare(three_value(eps, -1.0, p), 2, const2)
                 assert rep.predicted_sign == "negative"
+
+
+class TestLeadingGapClosedForm:
+    """`compare`'s leading term is the paper's closed form: (1 - H)/d^3 <u^2>^2
+    for d >= 3, (I - 1/16) <u^2><u^3> for skewed 2D laws and
+    1.5 (1/16 - I) <u^2>(<u^4> - <u^2>^2) for symmetric 2D laws."""
+
+    @staticmethod
+    def laws():
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            values = np.exp(rng.uniform(-1.0, 1.0, n))
+            probs = rng.dirichlet(np.ones(n))
+            yield DistributionSpec(atoms=tuple(zip(values.tolist(), probs.tolist()))), False
+        for eps in (0.05, 0.1, 0.2, 0.4):
+            for p in (0.1, 0.2, 0.3, 0.4):
+                yield three_value(eps, -1.0, p), True
+
+    def test_matches_closed_form(self, const2, const3, const4, const5):
+        consts = {2: const2, 3: const3, 4: const4, 5: const5}
+        for dist, symmetric in self.laws():
+            m = moments(dist, 6)
+            m2, m3, m4 = m.u_moment(2), m.u_moment(3), m.u_moment(4)
+            for d, c in consts.items():
+                rep = compare(dist, d, c)
+                if d >= 3:
+                    want = ("d_ge_3_variance", 4, (1.0 - c.H) / d**3 * m2**2)
+                elif symmetric:
+                    want = ("2d_symmetric", 6, 1.5 * (1.0 / 16 - c.I) * m2 * (m4 - m2**2))
+                else:
+                    want = ("2d_skewed", 5, (c.I - 1.0 / 16) * m2 * m3)
+                assert (rep.case, rep.leading_order) == want[:2]
+                assert rep.leading_difference == pytest.approx(m.mean_sigma * want[2], rel=1e-12)

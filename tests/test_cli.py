@@ -36,7 +36,7 @@ def _use_cache(monkeypatch, cache_dir):
 @pytest.fixture(scope="module")
 def kd_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("dists") / "kd.json"
-    save_distribution(two_component(0.6, 1.4, label="kd"), path)
+    save_distribution(two_component(0.6, 1.4), path)
     return str(path)
 
 

@@ -371,10 +371,17 @@ class TestRelationRecovery:
 
 class TestFileFormat:
     def test_atom_roundtrip(self, tmp_path):
-        d = two_component(0.6, 1.4, label="kd")
+        d = two_component(0.6, 1.4)
         path = tmp_path / "dist.json"
         save_distribution(d, path)
         assert load_distribution(path) == d
+
+    def test_label_key_is_ignored(self, tmp_path):
+        # law files written when laws carried a label still load
+        path = tmp_path / "dist.json"
+        atoms = [{"value": 0.6, "prob": 0.5}, {"value": 1.4, "prob": 0.5}]
+        path.write_text(json.dumps({"atoms": atoms, "label": "kd"}))
+        assert load_distribution(path) == two_component(0.6, 1.4)
 
     def test_moment_roundtrip(self, tmp_path):
         d = DistributionSpec(
