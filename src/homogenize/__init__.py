@@ -10,7 +10,6 @@ Monte Carlo oracle on finite tori.
 from .bruggeman import (
     BruggemanResult,
     ComparisonReport,
-    bruggeman_coefficients,
     bruggeman_series,
     compare,
     solve_bruggeman,
@@ -50,6 +49,7 @@ from .errors import CapabilityError, CapacityError, SolverError
 from .expansion import (
     ExpansionCoefficients,
     SeriesResult,
+    bruggeman_coefficients,
     coefficients,
     max_order,
     remainder_bound,

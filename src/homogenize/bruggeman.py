@@ -18,10 +18,11 @@ import numpy as np
 
 from .constants import DimensionConstants
 from .distributions import DistributionSpec, moment_sum, moments
-from .errors import CapabilityError, SolverError
+from .errors import SolverError
 from .expansion import (
     ExpansionCoefficients,
     SeriesResult,
+    bruggeman_coefficients,
     coefficients,
     evaluate_series,
     max_order,
@@ -125,25 +126,6 @@ def solve_bruggeman(dist: DistributionSpec, d: int, tol: float = 1e-12) -> Brugg
     return BruggemanResult(sigma_B=x, xi=x / mean, residual=residual, iterations=iterations)
 
 
-def bruggeman_coefficients(d: int, order: int) -> dict[tuple[int, ...], float]:
-    """Moment-expansion coefficients of the Bruggeman root, rational in d."""
-    if order < 2 or order > 6:
-        raise CapabilityError("Bruggeman series implemented for orders 2..6")
-    b = {
-        (2,): -1.0 / d,
-        (3,): 1.0 / d**2,
-        (4,): -1.0 / d**3,
-        (2, 2): -(d - 2.0) / d**3,
-        (5,): 1.0 / d**4,
-        (2, 3): (3.0 * d - 5.0) / d**4,
-        (6,): -1.0 / d**5,
-        (2, 4): -(4.0 * d - 6.0) / d**5,
-        (3, 3): -(2.0 * d - 3.0) / d**5,
-        (2, 2, 2): -(2.0 * d**2 - 8.0 * d + 7.0) / d**5,
-    }
-    return {sig: coef for sig, coef in b.items() if sum(sig) <= order}
-
-
 def bruggeman_series(dist: DistributionSpec, d: int, order: int) -> SeriesResult:
     """Moment expansion of the Bruggeman root (no rigorous remainder bound)."""
     bmap = bruggeman_coefficients(d, order)
@@ -158,10 +140,12 @@ def compare(dist: DistributionSpec, d: int, constants: DimensionConstants) -> Co
     The order-k term is <sigma> sum gap_sig prod <u^s> over the signatures
     of order k, with gap = coefficients().a - bruggeman_coefficients().  The
     leading order is the first k whose term exceeds the cancellation floor
-    1e-9 u0^k <sigma> sum |gap_sig|, or max_order(d) when none does.  The
-    sign is 'indeterminate' when the term is at most the larger of that
-    floor and <sigma> sum err_sig prod |<u^s>|, the error the constants
-    give it.  The gap starts at order 4 in d >= 3, as (1 - H)/d^3 <u^2>^2;
+    1e-9 <sigma> sum |gap_sig| prod <|u|^s>, with odd <|u|^s> bounded by
+    u0 <u^(s-1)>, or max_order(d) when none does: like-signed products
+    stand above it however small, the rounding in <u^3> of a symmetric law
+    does not.  The sign is 'indeterminate' when the term is at most the
+    larger of that floor and <sigma> sum err_sig prod |<u^s>|, the error
+    the constants give it.  The gap starts at order 4 in d >= 3, as (1 - H)/d^3 <u^2>^2;
     in 2D at order 5, as (I - 1/16) <u^2><u^3>, or for symmetric laws at
     order 6, as 1.5 (1/16 - I) <u^2>(<u^4> - <u^2>^2).
     """
@@ -174,10 +158,14 @@ def compare(dist: DistributionSpec, d: int, constants: DimensionConstants) -> Co
     brug = bruggeman_coefficients(d, order)
     mom = moments(dist, order)
     mean = mom.mean_sigma
+
+    def size(n):  # <|u|^n>, bounded by u0 <u^(n-1)> for odd n
+        return mom.u_moment(n) if n % 2 == 0 else mom.u0 * mom.u_moment(n - 1)
+
     for k in range(2, order + 1):
         gap = {sig: a - brug[sig] for sig, a in exact.a.items() if sum(sig) == k}
         lead = mean * moment_sum(gap, mom.u_moment)
-        floor = 1e-9 * mom.u0**k * mean * sum(abs(g) for g in gap.values())
+        floor = 1e-9 * mean * moment_sum({sig: abs(g) for sig, g in gap.items()}, size)
         if abs(lead) > floor:
             break
     err = mean * moment_sum({sig: exact.err[sig] for sig in gap}, lambda n: abs(mom.u_moment(n)))

@@ -29,6 +29,7 @@ from .distributions import (
     DUALITY_GATE,
     DistributionSpec,
     DualityProbe,
+    _order4_relations,
     duality_residual_series,
     load_distribution,
     moments,
@@ -41,7 +42,7 @@ from .enumerator import enumerate_order
 from .errors import CapacityError, SolverError
 from .expansion import coefficients, max_order, sigma_e_series
 from .kernel import channel_array, gamma, get_kernel_table, lattice_power_sum
-from .resistor import estimate_sigma_e
+from .resistor import _require_tol, estimate_sigma_e
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,8 +211,7 @@ def cmd_duality_check(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
-    if not 1e-13 <= args.tol < 1.0:  # below 1e-13 CG stalls at rounding; NaN fails too
-        raise ValueError(f"--tol must be a finite number in [1e-13, 1), got {args.tol}")
+    _require_tol(args.tol, "--tol")
     dist = _load_dist(args)
     est = estimate_sigma_e(
         args.dim,
@@ -351,9 +351,7 @@ def cmd_reproduce(args) -> dict:
 
     for a3 in (0.25, 0.4):
         rel4 = recover_relations_order4(a3)
-        dev4 = max(
-            abs(rel4[(2, 2)] - (1.5 * a3 - 0.375)), abs(rel4[(4,)] - (0.25 - 1.5 * a3))
-        )
+        dev4 = max(abs(rel4[sig] - c) for sig, c in _order4_relations(a3).items())
         _check(checks, f"relations_order4_a3={a3}", dev4, 0.0, 1e-8)
     a = coeffs2.a
     rel6 = recover_relations_order6(a[(3,)], a[(5,)], a[(2, 3)])

@@ -431,6 +431,11 @@ def solve_residual_relations(
     return dict(zip(unknowns, x.tolist()))
 
 
+def _order4_relations(a3: float) -> dict:
+    """Closed form of the order-4 coefficients that duality implies, given a3."""
+    return {(4,): 0.25 - 1.5 * a3, (2, 2): 1.5 * a3 - 0.375}
+
+
 def recover_relations_order4(a3: float) -> dict:
     """Coefficients at total order 4 implied by duality, given a3."""
     return solve_residual_relations(4, {(2,): -0.5, (3,): a3}, [(4,), (2, 2)])
@@ -439,17 +444,10 @@ def recover_relations_order4(a3: float) -> dict:
 def recover_relations_order6(a3: float, a5: float, a23: float) -> dict:
     """Coefficients at total order 6 implied by duality, given a3, a5, a23.
 
-    The order-4 coefficients entering the cross terms are taken from the
-    order-4 relations evaluated at the same a3.
+    The order-4 coefficients entering the cross terms are the closed-form
+    order-4 relations at the same a3.
     """
-    fixed = {
-        (2,): -0.5,
-        (3,): a3,
-        (4,): 0.25 - 1.5 * a3,
-        (2, 2): 1.5 * a3 - 0.375,
-        (5,): a5,
-        (2, 3): a23,
-    }
+    fixed = {(2,): -0.5, (3,): a3, **_order4_relations(a3), (5,): a5, (2, 3): a23}
     return solve_residual_relations(6, fixed, [(6,), (2, 4), (3, 3), (2, 2, 2)])
 
 

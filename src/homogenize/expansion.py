@@ -2,12 +2,13 @@
 
 sigma_e = <sigma> * (1 + sum over moment signatures of a_sig * prod <u^s_i>),
 truncated at total order 2..5 for general dimension and 2..6 in 2D.  The
-pure-moment coefficients are rational in d; the mixed ones involve the
-computed constants H and I.  In 2D the expressions are simplified
-analytically before any numerics enter: the <u^2>^2 coefficient is exactly
-zero, the <u^2><u^3> coefficient is exactly I, and the 6th-order block is
-written in the I-linear form, which keeps the whole coefficient set exactly
-consistent with the duality identity whatever the numerical error in I.
+exact map is the Bruggeman effective-medium one, rational in d, with the
+lattice signatures replaced: (2,2) and (2,3) for d >= 3, through the
+computed constants H and I, and (2,3), (2,4), (3,3), (2,2,2) in 2D,
+simplified analytically before any numerics enter: the <u^2><u^3>
+coefficient is exactly I and the 6th-order block is I-linear, which keeps
+the whole map (with Bruggeman's exact zero at <u^2>^2) consistent with the
+duality identity whatever the numerical error in I.
 
 A truncation at order n carries the rigorous remainder bound
 (2 u0)^(n+1) / (1 - 2 u0) * <sigma>, valid whenever u0 < 1/2.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constants import DimensionConstants
+from .constants import DimensionConstants, k5_via_H
 from .distributions import DistributionSpec, Moments, moment_sum, moments
 from .errors import CapabilityError
 
@@ -60,44 +61,53 @@ def max_order(d: int) -> int:
     return MAX_ORDER_2D if d == 2 else MAX_ORDER_GENERAL
 
 
-def coefficients(
-    d: int, order: int, constants: DimensionConstants
-) -> ExpansionCoefficients:
-    """Coefficient map for dimension d truncated at the given total order."""
+def bruggeman_coefficients(d: int, order: int) -> dict[tuple[int, ...], float]:
+    """Moment-expansion coefficients of the Bruggeman root, rational in d."""
+    if order < 2 or order > 6:
+        raise CapabilityError("Bruggeman series implemented for orders 2..6")
+    b = {
+        (2,): -1.0 / d,
+        (3,): 1.0 / d**2,
+        (4,): -1.0 / d**3,
+        (2, 2): (2.0 - d) / d**3,  # +0.0 in 2D, not -0.0
+        (5,): 1.0 / d**4,
+        (2, 3): (3.0 * d - 5.0) / d**4,
+        (6,): -1.0 / d**5,
+        (2, 4): -(4.0 * d - 6.0) / d**5,
+        (3, 3): -(2.0 * d - 3.0) / d**5,
+        (2, 2, 2): -(2.0 * d**2 - 8.0 * d + 7.0) / d**5,
+    }
+    return {sig: coef for sig, coef in b.items() if sum(sig) <= order}
+
+
+def coefficients(d: int, order: int, constants: DimensionConstants) -> ExpansionCoefficients:
+    """Coefficient map for dimension d truncated at the given total order:
+    `bruggeman_coefficients` with the lattice signatures replaced, which
+    carry the constants' error estimates (the shared ones carry 0)."""
     if constants.d != d:
         raise ValueError(f"constants are for d={constants.d}, not d={d}")
     if order < 2:
         raise ValueError("order must be >= 2")
     if order > max_order(d):
-        raise CapabilityError(
-            f"order {order} not available for d={d} (max {max_order(d)})"
-        )
-    a: dict[tuple[int, ...], float] = {}
-    err: dict[tuple[int, ...], float] = {}
-
-    def put(sig, value, e=0.0):
-        if sum(sig) <= order:
-            a[sig] = float(value)
-            err[sig] = float(e)
-
-    put((2,), -1.0 / d)
-    put((3,), 1.0 / d**2)
-    put((4,), -1.0 / d**3)
-    put((5,), 1.0 / d**4)
+        raise CapabilityError(f"order {order} not available for d={d} (max {max_order(d)})")
+    a = bruggeman_coefficients(d, order)
+    err = dict.fromkeys(a, 0.0)
+    I, eI, eH = constants.I, constants.err["I"], constants.err["H"]
     if d == 2:
-        put((2, 2), 0.0)
-        put((2, 3), constants.I, constants.err["I"])
-        put((6,), -1.0 / 32)
-        put((2, 4), 1.0 / 32 - 1.5 * constants.I, 1.5 * constants.err["I"])
-        put((3, 3), 1.0 / 32 - constants.I, constants.err["I"])
-        put((2, 2, 2), 1.5 * constants.I - 1.0 / 16, 1.5 * constants.err["I"])
+        lattice = {
+            (2, 3): (I, eI),
+            (2, 4): (1.0 / 32 - 1.5 * I, 1.5 * eI),
+            (3, 3): (1.0 / 32 - I, eI),
+            (2, 2, 2): (1.5 * I - 1.0 / 16, 1.5 * eI),
+        }
     else:
-        put((2, 2), -(d + constants.H - 3.0) / d**3, constants.err["H"] / d**3)
-        put(
-            (2, 3),
-            (3.0 * d + d**4 * constants.I + 4.0 * constants.H - 10.0) / d**4,
-            constants.err["I"] + 4.0 * constants.err["H"] / d**4,
-        )
+        lattice = {
+            (2, 2): (-(d + constants.H - 3.0) / d**3, eH / d**3),
+            (2, 3): (k5_via_H(constants), eI + 4.0 * eH / d**4),
+        }
+    for sig, (value, e) in lattice.items():
+        if sig in a:
+            a[sig], err[sig] = float(value), float(e)
     return ExpansionCoefficients(d=d, order=order, a=a, err=err)
 
 

@@ -121,6 +121,12 @@ def _stencil(sig: np.ndarray, phi: np.ndarray, out: np.ndarray, flux: np.ndarray
         out -= flux
 
 
+def _require_tol(tol: float, name: str = "tol") -> None:
+    """1e-13 <= tol < 1, NaN refused: below 1e-13 CG runs past rounding."""
+    if not 1e-13 <= tol < 1.0:
+        raise ValueError(f"{name} must be a finite number in [1e-13, 1), got {tol}")
+
+
 @lru_cache(maxsize=16)
 def _inverse_symbol(d: int, L: int) -> np.ndarray:
     """rfftn-domain inverse of the unit-conductance torus Laplacian, zero mode
@@ -141,8 +147,8 @@ def solve_corrector(
     The Laplacian is singular with constant nullspace; the right-hand side
     is a discrete divergence, hence consistent, and any solution gives the
     same bond gradients.  CG stops once the relative residual falls below
-    `tol` (in (0, 1)); non-convergence within 100*L*d iterations raises
-    SolverError with the final residual attached.
+    `tol`, which must lie in [1e-13, 1); non-convergence within 100*L*d
+    iterations raises SolverError with the final residual attached.
 
     `born` is mean(s * grad z0) over the direction bonds s, where z0 is the
     first preconditioned residual.  z0 = m * phi_1 for the first-order
@@ -151,8 +157,7 @@ def solve_corrector(
     right-hand side vanishes.
     """
     d, L = network.d, network.L
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    _require_tol(tol)
     if not 1 <= direction <= d:
         raise ValueError(f"direction must lie in 1..{d}")
     shape, axis = (L,) * d, direction - 1

@@ -232,6 +232,17 @@ class TestCompare:
         rep = compare(two_component(0.8, 1.2), 2, const2)
         assert rep.predicted_sign == "indeterminate"
 
+    def test_light_far_atom_keeps_its_order4_term(self, const3):
+        # (1 - H)/d^3 <u^2>^2 is a product of nonnegative sums: no
+        # cancellation, however small against u0^4
+        law = two_component(1.0, 1.02, p1=1 - 1e-5)
+        rep = compare(law, 3, const3)
+        m = moments(law, 5)
+        assert rep.case == "d_ge_3_variance"
+        assert (rep.leading_order, rep.predicted_sign) == (4, "positive")
+        want = m.mean_sigma * (1.0 - const3.H) / 27 * m.u_moment(2) ** 2
+        assert rep.leading_difference == pytest.approx(want, rel=1e-12)
+
     def test_sign_grid_u0_below_02(self, const2, const3):
         for eps in (0.05, 0.1, 0.2):
             assert compare(two_component(1 - eps, 1 + eps), 3, const3).predicted_sign == "positive"

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from homogenize import (
     CapabilityError,
     DistributionSpec,
+    bruggeman_coefficients,
     coefficients,
     constant,
     enumerate_order,
+    k5_via_H,
+    max_order,
     moments,
     scale,
     sigma_e_series,
@@ -53,6 +56,21 @@ class TestCoefficients:
         got = coefficients(3, 4, const3).a[(2, 2)]
         assert got == pytest.approx(expected, abs=1e-15)
         assert got == pytest.approx(-0.923 / 27, abs=5e-3 / 27)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_bruggeman_map_outside_the_lattice_terms(self, d, request):
+        consts = request.getfixturevalue(f"const{d}")
+        exact = coefficients(d, max_order(d), consts)
+        brug = bruggeman_coefficients(d, max_order(d))
+        lattice = {(2, 3), (2, 4), (3, 3), (2, 2, 2)} if d == 2 else {(2, 2), (2, 3)}
+        assert exact.a.keys() == brug.keys() == exact.err.keys()
+        for sig in brug.keys() - lattice:
+            assert exact.a[sig].hex() == brug[sig].hex()  # bit for bit, sign of zero too
+            assert exact.err[sig] == 0.0
+        if d == 2:
+            assert exact.a[(2, 2)].hex() == (0.0).hex()
+        else:
+            assert exact.a[(2, 3)] == k5_via_H(consts)
 
     def test_order_capability(self, const2, const3):
         with pytest.raises(CapabilityError):
