@@ -40,9 +40,15 @@ from .errors import CapacityError
 #: accuracy targets of the test suite.
 DEFAULTS = {2: (512, 24), 3: (64, 8), 4: (32, 4), 5: (16, 3)}
 
-#: Hard cap on N^d.  A build holds the real (N/2)^d half-grid, and its
-#: defect probe the real N^d half-grid at 2N: at most 0.25 GB of float64.
+#: Hard cap on N^d, the point count of the defect probe's real half-grid at
+#: 2N, and so on the work of a build.  No build holds that grid: its largest
+#: array is one slab (see _SLAB), or two to three rows of N^(d-1) points where
+#: a row outgrows the slab: 16 MB of float64 at the cap for d = 5 (N = 32).
 GRID_CAP = 2**25
+
+#: Points of the real half-grid that `_folded_sum` builds and contracts at
+#: once (4 MB of float64); a slab holds at least two rows of the last axis.
+_SLAB = 2**19
 
 _MAGIC = b"GKTB"
 _VERSION = 2
@@ -86,9 +92,11 @@ def build_kernel_table(d: int, N: int, R: int) -> KernelTable:
     """Evaluate the kernel on the stored box by folded midpoint quadrature.
 
     Each base channel is the real half-grid integrand contracted with one
-    (2R+1) x N/2 matrix per axis.  Every table carries its quadrature
-    defect, probed at a few sites against the same quadrature at 2N, so
-    every error bar derived from it includes the quadrature error.
+    (R+1) x N/2 matrix per axis, built and contracted slab by slab, so the
+    build never holds the (N/2)^d grid.  Every table carries its quadrature
+    defect, probed at a few sites against the same quadrature at 2N (again
+    in slabs), so every error bar derived from it includes the quadrature
+    error.
 
     Parameters
     ----------
@@ -147,24 +155,39 @@ def _folded_sum(d: int, N: int, a: int, b: int, sites) -> np.ndarray:
     folded to f(x) + f(1 - x), s = sin(pi x): 2 cos(2 pi x z) on a plain axis,
     2 s^2 cos(2 pi x z) on axis a = b, and 2 s sin(pi x (2z - 1)) on axis a,
     2 s sin(pi x (2z + 1)) on axis b of a != b (their factors i flip the sign).
-    Axes are contracted in turn by einsum (no BLAS), a row per |2z -+ 1|.
+    Each axis is contracted by einsum (no BLAS) with its matrix, a row per
+    |2z -+ 1|.  The half-grid is built in slabs of the last axis, each of
+    about _SLAB elements but at least two rows: axes 0..d-2 of a slab are
+    contracted in turn, then the last axis once over the joined slab results.
+    Every output element is summed in the same order as by contracting the
+    whole grid at once, so the result is the same to the last bit.
     """
     M = N // 2
     odd = 2 * np.arange(M) + 1  # x = odd / 2N
     s = np.sin(np.pi / (2 * N) * odd)
-    out = sum((s * s).reshape(_axis_shape(M, d, ax)) for ax in range(d))
-    np.reciprocal(out, out=out)
-    spread, sign = [], 1
+    mats, spread, sign = [], [], 1
     for ax in range(d):
         shift = (ax == b - 1) - (ax == a - 1)
         k = 2 * np.asarray(sites[ax]) + shift
         rows, inv = np.unique(np.abs(k), return_inverse=True)
         angle = np.pi / (2 * N) * (np.multiply.outer(rows, odd) % (4 * N))
         trig = np.sin(angle) if shift else np.cos(angle)
-        out = np.einsum("x...,zx->...z", out, 2 * s ** ((ax == a - 1) + (ax == b - 1)) * trig)
+        mats.append(2 * s ** ((ax == a - 1) + (ax == b - 1)) * trig)
         spread.append(inv)
         if shift:
             sign = sign * np.sign(k).reshape(_axis_shape(k.size, d, ax))
+    s2 = s * s
+    head = sum(s2.reshape(_axis_shape(M, d, ax)) for ax in range(d - 1))  # D less its last term
+    step = max(2, _SLAB // M ** (d - 1))
+    edges = [*range(0, max(M - 1, 1), step), M]  # the last slab takes a one-row rest
+    parts = []
+    for lo, hi in zip(edges, edges[1:]):
+        out = head + s2[lo:hi]
+        np.reciprocal(out, out=out)
+        for mat in mats[:-1]:
+            out = np.einsum("x...,zx->...z", out, mat)
+        parts.append(out)
+    out = np.einsum("x...,zx->...z", np.concatenate(parts), mats[-1])
     return out[np.ix_(*spread)] * sign * ((-1.0 if a == b else 1.0) / N**d)
 
 

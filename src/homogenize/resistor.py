@@ -26,13 +26,19 @@ index), so results are independent of evaluation order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .distributions import DistributionSpec
-from .errors import SolverError
+from .errors import CapacityError, SolverError
+
+#: Hard cap on the L^d sites of a torus.  Drawing a sample and solving it
+#: holds 12 to 21 float64 per site at d = 1..5 (the draws and conductances,
+#: the CG vectors, the complex spectrum): at most about 0.7 GB at the cap.
+SITE_CAP = 2**22
 
 
 @dataclass(frozen=True)
@@ -75,13 +81,35 @@ class SigmaEstimate:
     skipped: int = 0
 
 
+def _require_torus(d: int, L: int) -> None:
+    """d >= 1 and L >= 4, and L^d within SITE_CAP (else CapacityError naming
+    the largest feasible L); checked before anything is allocated."""
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if L < 4:
+        raise ValueError("torus side must be >= 4")
+    # in logs, since L**d can be too large to form; exact, as an integer L^d
+    # other than 2^22 is 3e-7 or more from it in log2, far above rounding
+    cap = math.log2(SITE_CAP)
+    if d * math.log2(L) > cap:
+        n = int(2 ** (cap / d)) + 1  # the float root can be off by one either way
+        while d * math.log2(n) > cap:
+            n -= 1
+        fits = f"feasible L <= {n}" if n >= 4 else "no L >= 4 fits"
+        raise CapacityError(
+            f"L^d = {L}^{d} exceeds capacity {SITE_CAP:.3g} sites; {fits} for d={d}"
+        )
+
+
 def sample_network(
     d: int, L: int, dist: DistributionSpec, seed: int, sample_index: int = 0
 ) -> TorusNetwork:
-    """Draw i.i.d. bond conductances from an atomic law, reproducibly."""
+    """Draw i.i.d. bond conductances from an atomic law, reproducibly.
+
+    d >= 1 and L >= 4 with L^d <= SITE_CAP, else ValueError or CapacityError.
+    """
+    _require_torus(d, L)
     dist._require_atoms("sample_network")
-    if L < 4:
-        raise ValueError("torus side must be >= 4")
     if not 0 <= seed < 2**64 or not 0 <= sample_index < 2**64:
         raise ValueError("seed and sample index must fit in uint64")
     key = np.array([seed, sample_index], dtype=np.uint64)
@@ -236,7 +264,9 @@ def estimate_sigma_e(
 
     Deterministic for a given seed.  Samples whose solve fails are skipped
     and counted in `skipped`; the estimate is over the remaining ones.
+    The torus is checked as by `sample_network` before any work.
     """
+    _require_torus(d, L)
     if samples < 2:
         raise ValueError("need at least 2 samples")
     values, probs = dist.values(), dist.probs()

@@ -234,6 +234,20 @@ class TestExitCodes:
         assert cli.main(argv + [f"--tol={tol}"]) == 2
         assert "--tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dim, L, code, message",
+        [
+            ("0", "8", 2, "dimension must be >= 1"),
+            ("-1", "8", 2, "dimension must be >= 1"),
+            ("3", "100000", 3, "feasible L <= 161 for d=3"),
+            ("1", "8", 0, ""),
+        ],
+    )
+    def test_oracle_torus_exit_codes(self, capsys, kd_file, dim, L, code, message):
+        argv = ["oracle", f"--dim={dim}", "--L", L, "--samples", "4", "--dist", kd_file]
+        assert cli.main(argv) == code
+        assert message in capsys.readouterr().err
+
     def test_oracle_tol_floor_is_accepted(self, capsys, kd_file):
         argv = ["oracle", "--dim", "2", "--L", "8", "--samples", "2", "--dist", kd_file]
         assert cli.main(argv + ["--tol", "1e-13"]) == 0

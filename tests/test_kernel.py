@@ -20,15 +20,20 @@ from homogenize import (
     load_table,
     save_table,
 )
+import homogenize.kernel as kernel
 from homogenize.kernel import (
     DEFAULTS,
     GRID_CAP,
+    _BASE,
+    _SLAB,
+    _folded_sum,
     _hurwitz_zeta,
     direct_quadrature,
     get_kernel_table,
     shell_radii,
     tail_corrected_sum,
 )
+from test_constants import REFINED
 
 
 def _along(v, d, ax):
@@ -48,6 +53,27 @@ def _channel_by_own_fft(d, N, R, a, b):
     for ax in range(d):
         box = box * _along(np.exp(1j * np.pi * idx / N), d, ax)
     return -box.real
+
+
+def _one_shot_folded_sum(d, N, a, b, sites):
+    """`_folded_sum` as one contraction of the whole (N/2)^d half-grid."""
+    M = N // 2
+    odd = 2 * np.arange(M) + 1
+    s = np.sin(np.pi / (2 * N) * odd)
+    out = sum(_along(s * s, d, ax) for ax in range(d))
+    np.reciprocal(out, out=out)
+    spread, sign = [], 1
+    for ax in range(d):
+        shift = (ax == b - 1) - (ax == a - 1)
+        k = 2 * np.asarray(sites[ax]) + shift
+        rows, inv = np.unique(np.abs(k), return_inverse=True)
+        angle = np.pi / (2 * N) * (np.multiply.outer(rows, odd) % (4 * N))
+        trig = np.sin(angle) if shift else np.cos(angle)
+        out = np.einsum("x...,zx->...z", out, 2 * s ** ((ax == a - 1) + (ax == b - 1)) * trig)
+        spread.append(inv)
+        if shift:
+            sign = sign * _along(np.sign(k), d, ax)
+    return out[np.ix_(*spread)] * sign * ((-1.0 if a == b else 1.0) / N**d)
 
 
 def _full_grid_quadrature(d, N, z, a, b):
@@ -240,6 +266,36 @@ class TestBaseChannels:
                 folded = direct_quadrature(d, N, z, a, b)
                 assert abs(folded - _full_grid_quadrature(d, N, z, a, b)) <= 1e-15, (a, b, z)
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_slabs_match_one_shot_contraction_at_defaults(self, d):
+        N, R = DEFAULTS[d]
+        grids = [(N, [np.arange(-R, R + 1)] * d), (2 * N, [np.arange(-2, 3)] * d)]  # box, probe
+        for n, sites in grids:
+            for a, b in _BASE:
+                want = _one_shot_folded_sum(d, n, a, b, sites)
+                assert np.array_equal(_folded_sum(d, n, a, b, sites), want), (n, a, b)
+
+    @pytest.mark.parametrize("d, N, rows", [(2, 102, 10), (3, 26, 4), (4, 14, 2), (3, 200, None)])
+    def test_ragged_last_slab_matches_one_shot_contraction(self, d, N, rows, monkeypatch):
+        # N/2 = 51, 13, 7 and 100 rows: the last slab takes 11, 5, 3 and 48 of them
+        M = N // 2
+        if rows is not None:
+            monkeypatch.setattr(kernel, "_SLAB", rows * M ** (d - 1))
+        step = max(2, kernel._SLAB // M ** (d - 1))
+        assert step < M and M % step != 0
+        sites = [np.arange(-3, 4)] * d
+        for a, b in itertools.product(range(1, d + 1), repeat=2):
+            want = _one_shot_folded_sum(d, N, a, b, sites)
+            assert np.array_equal(_folded_sum(d, N, a, b, sites), want), (a, b)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_one_site_lists_match_one_shot_contraction(self, d, rng):
+        for N in (2, 8, 14, 32):
+            z = [[int(c)] for c in rng.integers(-6, 7, size=d)]
+            for a, b in itertools.product(range(1, d + 1), repeat=2):
+                want = _one_shot_folded_sum(d, N, a, b, z)
+                assert np.array_equal(_folded_sum(d, N, a, b, z), want), (N, z, a, b)
+
     def test_quadrature_needs_even_resolution(self):
         with pytest.raises(ValueError, match="even"):
             direct_quadrature(2, 15, (1, 0), 1, 1)
@@ -250,6 +306,24 @@ class TestBaseChannels:
         got = (consts.H, consts.I1, consts.I2, consts.I, consts.K5)
         for name, value, want in zip(("H", "I1", "I2", "I", "K5"), got, PINNED_CONSTANTS[d]):
             assert abs(value - want) <= 1e-14, name
+
+
+def _assert_build_peak_within_one_slab(d, N, R):
+    """The largest arrays of a build are one slab of the defect probe's
+    half-grid at 2N (_SLAB points, two rows of N^(d-1) where a row outgrows
+    it, or the whole N^d grid where that is smaller), the row of 1/D terms
+    shared by its slabs, and a slab's first contraction, three rows of N: at
+    most a quarter of it.  The rest is a few (2R+1)^d boxes: channels,
+    powers, shell sums."""
+    row = N ** (d - 1)
+    slab = min(max(_SLAB, 2 * row), N**d)
+    tracemalloc.start()
+    try:
+        build_kernel_table(d, N, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (1.25 * slab + row + 4 * (2 * R + 1) ** d)
 
 
 class TestValidationAndCapacity:
@@ -265,15 +339,11 @@ class TestValidationAndCapacity:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_build_peak_memory_at_defaults(self, d):
-        # the largest array is the defect probe's folded 2N grid: N^d float64
-        N, R = DEFAULTS[d]
-        tracemalloc.start()
-        try:
-            build_kernel_table(d, N, R)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * 8 * N**d
+        _assert_build_peak_within_one_slab(d, *DEFAULTS[d])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_build_peak_memory_at_refined_grids(self, d):
+        _assert_build_peak_within_one_slab(d, *REFINED[d])
 
     def test_odd_resolution(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Monte Carlo torus oracle: determinism, exact special cases, statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from homogenize import (
     CapabilityError,
+    CapacityError,
     DistributionSpec,
     SolverError,
     constant,
@@ -94,6 +97,34 @@ class TestSampling:
         raw = DistributionSpec(atoms=None, raw_mean=1.0, raw_u_moments=(0.01,), raw_u0=0.1)
         with pytest.raises(CapabilityError):
             sample_network(2, 8, raw, seed=0)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_dimension_below_one_is_refused(self, d):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            sample_network(d, 8, constant(1.0), seed=0)
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            estimate_sigma_e(d, 8, constant(1.0), samples=4, seed=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 11])
+    def test_oversized_torus_names_largest_feasible_side(self, d):
+        cap = resistor_mod.SITE_CAP
+        feasible = cap if d == 1 else max(L for L in range(4, 2**12) if L**d <= cap)
+        resistor_mod._require_torus(d, feasible)
+        with pytest.raises(CapacityError, match=f"feasible L <= {feasible} for d={d}$"):
+            sample_network(d, feasible + 1, constant(1.0), seed=0)
+
+    def test_oversized_torus_is_refused_before_allocating(self):
+        law = two_component(0.6, 1.4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="feasible L <= 161 for d=3"):
+                sample_network(3, 100_000, law, seed=0)
+            with pytest.raises(CapacityError, match="no L >= 4 fits for d=12"):
+                estimate_sigma_e(12, 4, law, samples=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
 
 
 class TestCorrector:
