@@ -236,6 +236,7 @@ def cmd_oracle(args) -> dict:
         "seed": args.seed,
         "mean": est.mean,
         "stderr": est.stderr,
+        "max_error": est.max_error,
     }
 
 

@@ -7,12 +7,21 @@ FFT inverse of the unit-conductance torus Laplacian (the mean-medium
 Green's operator of Moulinec-Suquet FFT homogenization), so the iteration
 count depends on the contrast and not on L.  One slice-based periodic
 stencil applies the weighted Laplacian, both in the CG product and for the
-final residual.  Each solve allocates its vectors and complex spectrum once
+true residual.  Each solve allocates its vectors and complex spectrum once
 and reuses them in every iteration, and the preconditioner's symbol is
-cached per (d, L).  The per-sample estimate is the energy form
-(1/L^d) sum_b sigma_b (e + grad phi)_b e_b, which equals the mean flux at
-the solution and is exact for a uniform medium.  The torus-plus-mean-field
-formulation avoids the boundary layers of plate-electrode setups.
+cached per (d, L).  The torus-plus-mean-field formulation avoids the
+boundary layers of plate-electrode setups.
+
+The per-sample estimate is the energy sigma(phi) = (1/N) sum_b sigma_b
+(e + grad phi)_b^2 over the N = L^d sites, which is exact for a uniform
+medium.  It is stationary at the solution phi*: by the Dirichlet principle
+sigma(phi) - sigma(phi*) = ||phi - phi*||_A^2 / N >= 0, A the weighted
+Laplacian.  A >= s_min Delta for the smallest conductance s_min, and the
+preconditioner is Delta^+, so <r, Delta^+ r> / (s_min N) bounds that gap
+for the residual r = rhs - A phi at the cost of one dot product.  The Monte
+Carlo estimator stops each solve once this certificate is at most `tol`
+times the estimate: for the 0.6/1.4 law that is 7 CG iterations where a
+1e-10 relative residual takes 15.
 
 The reported mean and standard error are those of a control-variate
 estimate: each sample's second-order perturbative estimate, which the first
@@ -35,9 +44,9 @@ import numpy as np
 from .distributions import DistributionSpec
 from .errors import CapacityError, SolverError
 
-#: Hard cap on the L^d sites of a torus.  Drawing a sample and solving it
-#: holds 12 to 21 float64 per site at d = 1..5 (the draws and conductances,
-#: the CG vectors, the complex spectrum): at most about 0.7 GB at the cap.
+#: Hard cap on the L^d sites of a torus.  Solving a sample holds 10 to 16
+#: float64 per site at d = 1..5 (its conductances, the CG vectors, the
+#: complex spectrum): at most about 0.5 GB at the cap.
 SITE_CAP = 2**22
 
 
@@ -63,6 +72,7 @@ class CorrectorSolution:
     residual: float        # final relative CG residual
     iterations: int
     born: float            # mean(s * grad z0), z0 the first preconditioned residual
+    error: float           # bound on estimate - exact, >= 0
 
 
 @dataclass(frozen=True)
@@ -79,6 +89,7 @@ class SigmaEstimate:
     L: int
     per_sample: tuple[float, ...] | None = None
     skipped: int = 0
+    max_error: float = 0.0  # largest per-sample certificate (CorrectorSolution.error)
 
 
 def _require_torus(d: int, L: int) -> None:
@@ -114,11 +125,14 @@ def sample_network(
         raise ValueError("seed and sample index must fit in uint64")
     key = np.array([seed, sample_index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    u = gen.random((d, L**d))
     cum = np.cumsum(dist.probs())
     cum[-1] = 1.0  # guard the top edge against rounding
     values = dist.values()
-    cond = values[np.searchsorted(cum, u, side="right")]
+    cond = np.empty((d, L**d))
+    # one axis at a time, the same stream as a single (d, L^d) draw, so the
+    # draws and indices of only one row are held next to the conductances
+    for row in cond:
+        np.take(values, np.searchsorted(cum, gen.random(L**d), side="right"), out=row)
     return TorusNetwork(d=d, L=L, conductances=cond, seed=seed, sample_index=sample_index)
 
 
@@ -167,16 +181,43 @@ def _inverse_symbol(d: int, L: int) -> np.ndarray:
     return symbol
 
 
+def _precondition(r: np.ndarray, symbol: np.ndarray, spec: np.ndarray, z: np.ndarray) -> None:
+    """z = Delta^+ r through the cached symbol, spec the complex work array.
+
+    rfftn then irfftn, one axis at a time in their order, so bit for bit the
+    same; unlike irfftn this makes no intermediate complex array."""
+    d = r.ndim
+    np.fft.rfft(r, axis=d - 1, out=spec)
+    for a in range(d - 2, -1, -1):
+        np.fft.fft(spec, axis=a, out=spec)
+    spec *= symbol
+    for a in range(d - 1):
+        np.fft.ifft(spec, axis=a, out=spec)
+    np.fft.irfft(spec, n=r.shape[-1], axis=d - 1, out=z)
+
+
 def solve_corrector(
-    network: TorusNetwork, direction: int = 1, tol: float = 1e-10
+    network: TorusNetwork, direction: int = 1, tol: float = 1e-10, *, stop: str = "residual"
 ) -> CorrectorSolution:
     """Solve the periodic corrector problem and evaluate the energy estimate.
 
-    The Laplacian is singular with constant nullspace; the right-hand side
+    The Laplacian A is singular with constant nullspace; the right-hand side
     is a discrete divergence, hence consistent, and any solution gives the
-    same bond gradients.  CG stops once the relative residual falls below
-    `tol`, which must lie in [1e-13, 1); non-convergence within 100*L*d
+    same bond gradients.  `tol` must lie in [1e-13, 1).  With
+    stop="residual" CG stops once the relative residual falls below `tol`,
+    so `phi` is accurate to `tol`.  With stop="estimate" it stops as soon as
+    `error` <= tol * `estimate`, or at the residual rule if that comes first,
+    so it never takes more iterations.  Non-convergence within 100*L*d
     iterations raises SolverError with the final residual attached.
+
+    `estimate` is the energy sigma(phi) = (1/N) sum_c sum_x s_c (delta_c,dir
+    + grad_c phi)^2 = flux(phi) - <r, phi>/N, r = rhs - A phi the true
+    residual and N = L^d.  sigma(phi) - sigma* = ||phi - phi*||_A^2 / N >= 0,
+    and A >= s_min Delta for the smallest conductance s_min, so
+    `error` = <r, Delta^+ r> / (s_min N) bounds estimate - sigma*.  The
+    preconditioner is Delta^+, so CG screens each iteration on its
+    rho = <r, z> and the energy recursion E -= alpha rho / N, then confirms
+    on the true residual; a failed confirmation continues from it.
 
     `born` is mean(s * grad z0) over the direction bonds s, where z0 is the
     first preconditioned residual.  z0 = m * phi_1 for the first-order
@@ -188,46 +229,65 @@ def solve_corrector(
     _require_tol(tol)
     if not 1 <= direction <= d:
         raise ValueError(f"direction must lie in 1..{d}")
-    shape, axis = (L,) * d, direction - 1
+    if stop not in ("residual", "estimate"):
+        raise ValueError(f"stop must be 'residual' or 'estimate', got {stop!r}")
+    shape, axis, n = (L,) * d, direction - 1, L**d
     sig = network.conductances.reshape((d,) + shape)
     s = sig[axis]
+    s_min = float(sig.min())
     rhs = s - np.roll(s, 1, axis=axis)  # sigma_dir(x) - sigma_dir(x - e_dir)
     symbol = _inverse_symbol(d, L)
     rhs_norm = np.sqrt(_dot(rhs, rhs))
     # the loop works in these buffers and allocates no vector of its own
     phi, p, q, z, scratch = (np.zeros(shape) for _ in range(5))
     spec = np.empty(symbol.shape, dtype=complex)
+
+    def certify() -> tuple[float, float]:
+        """Energy estimate and its error bound at phi; leaves the true
+        residual in q and its preconditioned form in z."""
+        _stencil(sig, phi, q, scratch)
+        np.subtract(rhs, q, out=q)
+        _precondition(q, symbol, spec, z)
+        flux = _forward_diff(phi, axis, scratch)
+        flux += 1.0
+        flux *= s
+        bound = max(_dot(q, z), 0.0) / (s_min * n) if s_min > 0 else math.inf
+        return float(np.mean(flux)) - _dot(q, phi) / n, bound
+
     r = rhs.copy()
     r_norm, rho_prev, iterations = rhs_norm, 1.0, 0
-    born = 0.0
+    energy, screen = float(np.mean(s)), tol * s_min * n  # E_0 = sigma(0)
+    born, certified = 0.0, False
     while r_norm > tol * rhs_norm and iterations < 100 * L * d:
-        # rfftn then irfftn, one axis at a time in their order, so bit for bit
-        # the same; unlike irfftn this makes no intermediate complex array
-        np.fft.rfft(r, axis=d - 1, out=spec)
-        for a in range(d - 2, -1, -1):
-            np.fft.fft(spec, axis=a, out=spec)
-        spec *= symbol
-        for a in range(d - 1):
-            np.fft.ifft(spec, axis=a, out=spec)
-        np.fft.irfft(spec, n=L, axis=d - 1, out=z)
+        _precondition(r, symbol, spec, z)
         if iterations == 0:
-            born = float(np.mean(s * _forward_diff(z, axis, scratch)))
+            born = float(np.mean(np.multiply(s, _forward_diff(z, axis, scratch), out=scratch)))
         rho = _dot(r, z)
+        if rho == 0.0:  # breakdown: r underflowed or the preconditioner lost it
+            break
+        if stop == "estimate" and rho <= screen * energy:
+            energy, error = certify()  # confirm on the true residual
+            certified = error <= tol * energy
+            if certified:
+                break
+            np.copyto(r, q)  # and continue from it
+            rho, r_norm = _dot(r, z), np.sqrt(_dot(r, r))
         p *= rho / rho_prev
         p += z
         _stencil(sig, p, q, scratch)
         pq = _dot(p, q)
-        if rho == 0.0 or pq == 0.0:  # breakdown: r underflowed or is constant
+        if pq == 0.0:  # breakdown: p is constant
             break
         alpha = rho / pq
         phi += np.multiply(p, alpha, out=scratch)
         r -= np.multiply(q, alpha, out=scratch)
+        energy -= alpha * rho / n
         r_norm, rho_prev, iterations = np.sqrt(_dot(r, r)), rho, iterations + 1
 
-    _stencil(sig, phi, q, scratch)
-    true_r = np.subtract(rhs, q, out=q)
-    residual = float(np.sqrt(_dot(true_r, true_r)) / rhs_norm) if rhs_norm > 0 else 0.0
-    if not r_norm <= tol * rhs_norm:
+    if not certified:
+        energy, error = certify()
+    residual = float(np.sqrt(_dot(q, q)) / rhs_norm) if rhs_norm > 0 else 0.0
+    if not (certified or r_norm <= tol * rhs_norm):
         raise SolverError(
             f"conjugate gradient failed to reach rtol={tol} "
             f"after {iterations} iterations (relative residual {residual:.3e})",
@@ -235,9 +295,9 @@ def solve_corrector(
             iterations=iterations,
         )
     phi -= phi.mean()
-    estimate = float(np.mean(s * (1.0 + _forward_diff(phi, axis, scratch))))
     return CorrectorSolution(
-        phi=phi.ravel(), estimate=estimate, residual=residual, iterations=iterations, born=born
+        phi=phi.ravel(), estimate=energy, residual=residual, iterations=iterations,
+        born=born, error=error,
     )
 
 
@@ -262,6 +322,10 @@ def estimate_sigma_e(
     expectation as sigma_i and a far smaller variance at low contrast.
     `per_sample` keeps the raw sigma_i.
 
+    Each solve stops once its certified error is at most `tol` times its
+    estimate (solve_corrector's stop="estimate"); `max_error` is the
+    largest of those certificates.
+
     Deterministic for a given seed.  Samples whose solve fails are skipped
     and counted in `skipped`; the estimate is over the remaining ones.
     The torus is checked as by `sample_network` before any work.
@@ -273,24 +337,32 @@ def estimate_sigma_e(
     m = float(probs @ values)
     mean_x = -float(probs @ (values - m) ** 2) * (1.0 - float(L) ** -d) / (d * m)
 
-    raw, corrected = [], []
-    for i in range(samples):
-        net = sample_network(d, L, dist, seed, sample_index=i)
-        try:
-            sol = solve_corrector(net, tol=tol)
-        except SolverError:
-            continue
-        x = float(np.mean(net.conductances[0])) - m + sol.born / m
-        raw.append(sol.estimate)
-        corrected.append(sol.estimate - x + mean_x)
-    ys = np.array(corrected)
-    if len(ys) < 2:
-        raise SolverError(f"only {len(ys)} of {samples} samples solved")
+    solved = [one for one in (_solve_sample(d, L, dist, seed, i, tol) for i in range(samples))
+              if one is not None]
+    if len(solved) < 2:
+        raise SolverError(f"only {len(solved)} of {samples} samples solved")
+    raw, errors, s_means, borns = (np.array(column) for column in zip(*solved))
+    ys = raw - (s_means - m + borns / m) + mean_x
     return SigmaEstimate(
         mean=float(ys.mean()),
         stderr=float(ys.std(ddof=1) / np.sqrt(len(ys))),
         samples=len(ys),
         L=L,
-        per_sample=tuple(raw) if keep_per_sample else None,
+        per_sample=tuple(raw.tolist()) if keep_per_sample else None,
         skipped=samples - len(ys),
+        max_error=float(errors.max()),
     )
+
+
+def _solve_sample(
+    d: int, L: int, dist: DistributionSpec, seed: int, index: int, tol: float
+) -> tuple[float, float, float, float] | None:
+    """(estimate, error, mean of the direction-1 bonds, born) of one sample,
+    None if its solve fails.  The network and the solution are released on
+    return, before the next sample is drawn."""
+    net = sample_network(d, L, dist, seed, sample_index=index)
+    try:
+        sol = solve_corrector(net, tol=tol, stop="estimate")
+    except SolverError:
+        return None
+    return sol.estimate, sol.error, float(np.mean(net.conductances[0])), sol.born

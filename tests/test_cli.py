@@ -163,6 +163,12 @@ class TestCommands:
         assert lines[0] == "sample,estimate"
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_oracle_reports_certified_error(self, capsys, kd_file, tol):
+        data = run_json(capsys, "oracle", "--dim", "2", "--L", "16", "--samples", "4",
+                        "--seed", "3", "--tol", str(tol), "--dist", kd_file)
+        assert 0.0 < data["max_error"] <= tol * data["mean"]
+
     def test_oracle_deterministic(self, capsys, kd_file):
         args = ("oracle", "--dim", "2", "--L", "8", "--samples", "4", "--seed", "3",
                 "--dist", kd_file)

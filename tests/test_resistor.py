@@ -197,6 +197,50 @@ class TestCorrector:
         assert 1e-10 < failure.value.residual < 1.0
 
 
+#: d, L, law, seed: the five `oracle` benchmark cases (benchmark seed 0),
+#: then higher contrast in 2D and 3D, d = 1, d = 4 and an odd side.
+CERTIFIED_CASES = [
+    (2, 64, (0.6, 1.4), 15793235383387715774),
+    (2, 128, (0.6, 1.4), 12390638538380655177),
+    (2, 256, (0.6, 1.4), 2361836109651742017),
+    (2, 64, (0.1, 10.0), 3188717715514472916),
+    (3, 24, (0.6, 1.4), 648184599915300350),
+    (2, 32, (0.01, 100.0), 5),
+    (3, 12, (0.05, 20.0), 6),
+    (1, 64, (0.5, 2.0), 7),
+    (4, 8, (0.6, 1.4), 8),
+    (2, 5, (0.6, 1.4), 9),
+]
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("d, L, atoms, seed", CERTIFIED_CASES)
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_error_bounds_the_gap_to_the_converged_estimate(self, d, L, atoms, seed, tol):
+        law = two_component(*atoms)
+        for i in range(2):
+            net = sample_network(d, L, law, seed, i)
+            sol = solve_corrector(net, tol=tol, stop="estimate")
+            converged = solve_corrector(net, tol=1e-13).estimate
+            ulps = 4 * np.spacing(sol.estimate)
+            assert -ulps <= sol.estimate - converged <= sol.error + ulps
+            assert sol.error <= tol * sol.estimate + ulps
+            assert sol.iterations <= solve_corrector(net, tol=tol).iterations
+
+    def test_uniform_network_is_certified_exact(self):
+        net = sample_network(3, 6, constant(0.75), seed=0)  # sums of 0.75 are exact
+        for stop in ("residual", "estimate"):
+            sol = solve_corrector(net, stop=stop)
+            assert sol.estimate == 0.75
+            assert sol.error == 0.0
+            assert sol.iterations == 0
+
+    def test_stop_rule_is_validated(self):
+        net = sample_network(2, 8, constant(1.0), seed=0)
+        with pytest.raises(ValueError, match="stop"):
+            solve_corrector(net, stop="flux")
+
+
 class TestStencil:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("L", [4, 5, 8])
@@ -280,13 +324,14 @@ class TestEstimator:
         assert a.mean == b.mean
         assert a.stderr == b.stderr
         for i, value in enumerate(a.per_sample):
-            assert value == solve_corrector(sample_network(2, 12, law, 21, i)).estimate
+            net = sample_network(2, 12, law, 21, i)
+            assert value == solve_corrector(net, stop="estimate").estimate
 
     def test_per_sample_kept_on_request(self):
         law = two_component(0.6, 1.4)
         est = estimate_sigma_e(2, 8, law, samples=4, seed=1, keep_per_sample=True)
         nets = [sample_network(2, 8, law, 1, i) for i in range(4)]
-        sols = [solve_corrector(net) for net in nets]
+        sols = [solve_corrector(net, stop="estimate") for net in nets]
         assert est.per_sample == tuple(sol.estimate for sol in sols)
         # mean(s) - m + born / m per sample, around E[X] = -Var(c) (1 - 8^-2) / (2 m)
         m, var = 1.0, 0.16
@@ -307,11 +352,11 @@ class TestEstimator:
         calls = {"n": 0}
         original = resistor_mod.solve_corrector
 
-        def flaky(network, direction=1, tol=1e-10):
+        def flaky(network, direction=1, tol=1e-10, *, stop="residual"):
             calls["n"] += 1
             if network.sample_index == 1:
                 raise SolverError("synthetic failure", residual=1.0)
-            return original(network, direction=direction, tol=tol)
+            return original(network, direction=direction, tol=tol, stop=stop)
 
         monkeypatch.setattr(resistor_mod, "solve_corrector", flaky)
         est = resistor_mod.estimate_sigma_e(2, 8, two_component(0.6, 1.4), samples=4, seed=2)
@@ -338,6 +383,21 @@ class TestEstimator:
         est = estimate_sigma_e(2, 4, law, samples=samples, seed=seed)
         assert est.skipped == failures
         assert est.samples == samples - failures
+
+    @pytest.mark.parametrize("d, L", [(4, 12), (5, 7)])
+    def test_peak_memory_is_one_network_and_one_solve(self, d, L):
+        # the draws of one axis at a time, and no network or solution kept
+        # across samples: at most d + 11 float64 per site (17.6 and 21.6
+        # when a draw held its uniforms, indices and conductances at once
+        # next to the previous sample)
+        law = two_component(0.6, 1.4)
+        tracemalloc.start()
+        try:
+            estimate_sigma_e(d, L, law, samples=3, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * L**d) <= d + 11
 
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
@@ -398,20 +458,29 @@ class TestControlVariate:
         assert 6.0 < rest[0] / rest[1] < 10.0
 
     # The first two raw estimates of each `oracle` benchmark case
-    # (bench/workloads.py, benchmark seed 0), as the plain-mean estimator gave them.
+    # (bench/workloads.py, benchmark seed 0), each as a pair: as the
+    # plain-mean estimator gave it at a 1e-10 relative residual, a converged
+    # reference, and as the certified stop gives it now.
     @pytest.mark.parametrize("d, L, atoms, seed, expected", [
         (2, 64, ((0.6, 0.5), (1.4, 0.5)), 15793235383387715774,
-         ("0x1.d14bfa5c88807p-1", "0x1.d215be478d8f6p-1")),
+         (("0x1.d14bfa5c88807p-1", "0x1.d14bfa5cbc4b2p-1"),
+          ("0x1.d215be478d8f6p-1", "0x1.d215be47c2282p-1"))),
         (2, 128, ((0.6, 0.5), (1.4, 0.5)), 12390638538380655177,
-         ("0x1.d3ca548610aaap-1", "0x1.d8d8621415c30p-1")),
+         (("0x1.d3ca548610aaap-1", "0x1.d3ca548644a82p-1"),
+          ("0x1.d8d8621415c30p-1", "0x1.d8d862144addbp-1"))),
         (2, 256, ((0.6, 0.5), (1.4, 0.5)), 2361836109651742017,
-         ("0x1.d52dafae3f95ep-1", "0x1.d4a5658283b3ap-1")),
+         (("0x1.d52dafae3f95ep-1", "0x1.d52dafae73900p-1"),
+          ("0x1.d4a5658283b3ap-1", "0x1.d4a56582b7c02p-1"))),
         (2, 64, ((0.1, 0.5), (10.0, 0.5)), 3188717715514472916,
-         ("0x1.2d0294a028d45p+0", "0x1.04596364309acp+0")),
+         (("0x1.2d0294a028d45p+0", "0x1.2d0294a032129p+0"),
+          ("0x1.04596364309acp+0", "0x1.0459636438a98p+0"))),
         (3, 24, ((0.6, 0.5), (1.4, 0.5)), 648184599915300350,
-         ("0x1.e428ef8bb630fp-1", "0x1.e0945d321663ap-1")),
+         (("0x1.e428ef8bb630fp-1", "0x1.e428ef8bc6a13p-1"),
+          ("0x1.e0945d321663ap-1", "0x1.e0945d3226be4p-1"))),
     ])
     def test_raw_per_sample_values_unchanged(self, d, L, atoms, seed, expected):
         est = estimate_sigma_e(d, L, DistributionSpec(atoms=atoms), samples=2, seed=seed,
                                keep_per_sample=True)
-        assert est.per_sample == tuple(float.fromhex(h) for h in expected)
+        assert est.per_sample == tuple(float.fromhex(new) for _, new in expected)
+        for value, (converged, _) in zip(est.per_sample, expected):
+            assert 0.0 <= value - float.fromhex(converged) <= est.max_error
