@@ -40,7 +40,6 @@ from .distributions import (
 )
 from .enumerator import (
     EnumeratedOrder,
-    MomentPolynomial,
     PathFamily,
     enumerate_families,
     enumerate_order,

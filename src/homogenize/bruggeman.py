@@ -30,6 +30,8 @@ from .expansion import (
 
 _BISECT_REL_WIDTH = 1e-3
 _NEWTON_STEPS = 100
+#: Relative error bound at which the Newton polish stops.
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,22 +60,20 @@ class ComparisonReport:
     case: str
 
 
-def solve_bruggeman(dist: DistributionSpec, d: int, tol: float = 1e-12) -> BruggemanResult:
+def solve_bruggeman(dist: DistributionSpec, d: int) -> BruggemanResult:
     """Unique positive root of the self-consistency condition.
 
     Works for d >= 1; at d = 1 the root is the harmonic mean.  Bisection
     shrinks the bracket [min sigma, max sigma] to relative width 1e-3, then
     Newton (clamped to the bracket) polishes until the root's error bound
-    (|f(x)| + rounding of f) / min |f'| over the bracket is at most tol * x.
+    (|f(x)| + rounding of f) / min |f'| over the bracket is at most _TOL * x.
     A polish that has not met it after _NEWTON_STEPS steps raises
     SolverError; at high contrast, where f' is tiny at the root, rounding
-    alone can keep the bound above tol.
+    alone can keep the bound above _TOL.
     """
     dist._require_atoms("solve_bruggeman")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be a finite positive number, got {tol}")
     v = dist.values()
     p = dist.probs()
     delta = d - 1.0
@@ -110,13 +110,13 @@ def solve_bruggeman(dist: DistributionSpec, d: int, tol: float = 1e-12) -> Brugg
     for _ in range(_NEWTON_STEPS):
         iterations += 1
         residual = f(x)
-        if abs(residual) + round_off <= tol * x * slope:
+        if abs(residual) + round_off <= _TOL * x * slope:
             break
         x = min(max(x - residual / fprime(x), lo), hi)
     else:
         residual = f(x)
         raise SolverError(
-            f"Bruggeman Newton polish did not reach tol={tol:g} in {_NEWTON_STEPS} steps "
+            f"Bruggeman Newton polish did not reach tol={_TOL:g} in {_NEWTON_STEPS} steps "
             f"(residual {residual:.3g})",
             residual=residual,
             iterations=iterations,

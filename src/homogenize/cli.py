@@ -32,6 +32,7 @@ from .distributions import (
     _order4_relations,
     duality_residual_series,
     load_distribution,
+    moment_sum,
     moments,
     recover_relations_order4,
     recover_relations_order6,
@@ -57,8 +58,8 @@ def _sig_key(sig) -> str:
     return ",".join(str(s) for s in sig)
 
 
-def _poly_dict(poly) -> dict:
-    return {_sig_key(sig): poly.terms[sig] for sig in poly.signatures()}
+def _poly_dict(poly: dict) -> dict:
+    return {_sig_key(sig): poly[sig] for sig in sorted(poly)}
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,6 @@ def cmd_kernel(args) -> dict:
         "normalization_sum": norm,
         "offorigin_cube_sum": odd.value + odd.tail,
         "quad_defect": table.quad_defect,
-        "est_tail": table.est_tail,
     }
     if d == 2:
         arr = channel_array(table, 1, 1)
@@ -158,7 +158,7 @@ def cmd_enumerate(args) -> dict:
     if not args.symbolic:
         dist = _load_dist(args)
         mom = moments(dist, args.k)
-        out["value"] = eo.polynomial.evaluate(mom)
+        out["value"] = moment_sum(eo.polynomial, mom.u_moment)
     return out
 
 
@@ -230,13 +230,14 @@ def cmd_oracle(args) -> dict:
                 w.writerow([i, repr(v)])
     return {
         "d": args.dim,
-        "L": est.L,
+        "L": args.L,
         "samples": est.samples,
         "skipped": est.skipped,
         "seed": args.seed,
         "mean": est.mean,
         "stderr": est.stderr,
         "max_error": est.max_error,
+        "max_rel_error": est.max_rel_error,
     }
 
 
@@ -329,12 +330,12 @@ def cmd_reproduce(args) -> dict:
                 pure = len(sig) == 1
                 tol = max(
                     _coef_tol(refval, pure),
-                    eo.error.coefficient(sig) + ref.err.get(sig, 0.0),
+                    eo.error.get(sig, 0.0) + ref.err.get(sig, 0.0),
                 )
                 _check(
                     checks,
                     f"enum_d{d}_k{k}_a[{_sig_key(sig)}]",
-                    eo.polynomial.coefficient(sig),
+                    eo.polynomial.get(sig, 0.0),
                     refval,
                     tol,
                 )

@@ -57,7 +57,7 @@ def moment_sum(terms: dict, u_moment, total=0.0):
     map, added in the map's order; zero coefficients are skipped.
 
     Every moment series is summed here, in whatever ring u_moment returns:
-    floats, moment polynomials, or power series in eps.
+    floats or power series in eps.
     """
     for sig, coef in terms.items():
         if coef == 0.0:

@@ -51,8 +51,8 @@ GRID_CAP = 2**25
 _SLAB = 2**19
 
 _MAGIC = b"GKTB"
-_VERSION = 2
-_HEADER = struct.Struct("<4sIIIIdd")
+_VERSION = 3
+_HEADER = struct.Struct("<4sIIIId")
 #: The stored channels; `channel_array` derives all others from them.
 _BASE = ((1, 1), (1, 2))
 
@@ -64,9 +64,7 @@ class KernelTable:
     values maps (1, 1) and (1, 2) to a (2R+1,)^d float array indexed by
     z + R per axis; `channel_array` and `gamma` reach every other channel
     through them.  quad_defect is the largest observed difference against
-    a doubled-resolution direct quadrature at probe sites; est_tail
-    estimates the |z| > R remainder of the square row sum
-    sum_a sum_z G_1a(z)^2.
+    a doubled-resolution direct quadrature at probe sites.
     """
 
     d: int
@@ -74,7 +72,6 @@ class KernelTable:
     R: int
     values: dict[tuple[int, int], np.ndarray]
     quad_defect: float
-    est_tail: float
 
 
 class PowerSum(NamedTuple):
@@ -122,10 +119,7 @@ def build_kernel_table(d: int, N: int, R: int) -> KernelTable:
 
     idx = np.arange(-R, R + 1)
     values = {(a, b): _folded_sum(d, N, a, b, [idx] * d) for a, b in _BASE}
-
-    # G_1a for a >= 2 is an axis permutation of G_12, with the same shell sums
-    tail_11, tail_12 = (tail_corrected_sum(_int_power(values[k], 2), R, d).tail for k in _BASE)
-    table = KernelTable(d, N, R, values, 0.0, float(tail_11 + (d - 1) * tail_12))
+    table = KernelTable(d, N, R, values, 0.0)
     return replace(table, quad_defect=_probe_quad_defect(table))
 
 
@@ -142,7 +136,7 @@ def _probe_quad_defect(table: KernelTable) -> float:
     channels = [(1, 1), (1, d)] if d <= 3 else [(1, 1)]
     near = [np.arange(-2, 3)] * d
     fine = {key: _folded_sum(d, 2 * N, *key, near) for key in _BASE[:len(channels)]}
-    fine_table = KernelTable(d, 2 * N, 2, fine, 0.0, 0.0)
+    fine_table = KernelTable(d, 2 * N, 2, fine, 0.0)
     return max(abs(gamma(table, a, b, z) - gamma(fine_table, a, b, z))
                for a, b in channels for z in probes)
 
@@ -329,14 +323,13 @@ def lattice_power_sum(
 # ---------------------------------------------------------------------------
 
 def save_table(table: KernelTable, path) -> None:
-    """Write a table: header (magic, version, d, N, R, defect, tail) then the
+    """Write a table: header (magic, version, d, N, R, defect) then the
     base channels (1, 1) and (1, 2) as little-endian float64.  The bytes go
     to a temporary file that then replaces `path`, so no reader sees a part."""
     fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_HEADER.pack(_MAGIC, _VERSION, table.d, table.N, table.R,
-                                  table.quad_defect, table.est_tail))
+            fh.write(_HEADER.pack(_MAGIC, _VERSION, table.d, table.N, table.R, table.quad_defect))
             fh.write(np.asarray([table.values[k] for k in _BASE], dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -349,7 +342,7 @@ def load_table(path) -> KernelTable:
     data = Path(path).read_bytes()
     if data[:4] != _MAGIC:
         raise ValueError(f"not a kernel table file (magic {data[:4]!r})")
-    _, version, d, N, R, defect, tail = _HEADER.unpack_from(data)
+    _, version, d, N, R, defect = _HEADER.unpack_from(data)
     if version != _VERSION:
         raise ValueError(f"unsupported kernel table version {version}")
     # a header no build could write: N >= 8 and N^d <= GRID_CAP bound d
@@ -360,7 +353,7 @@ def load_table(path) -> KernelTable:
     if arrays.size != math.prod(shape):
         raise ValueError("kernel table file has the wrong length (truncated?)")
     values = dict(zip(_BASE, arrays.astype(np.float64).reshape(shape)))
-    return KernelTable(d=d, N=N, R=R, values=values, quad_defect=defect, est_tail=tail)
+    return KernelTable(d=d, N=N, R=R, values=values, quad_defect=defect)
 
 
 def cache_dir() -> Path:

@@ -8,10 +8,10 @@ ordered cumulant, an inclusion-exclusion over contiguous compositions of
 the path.  Both vanish whenever some label occurs exactly once, because the
 disorder variable u has zero mean.
 
-All functions are pure; they accept any tuple of hashable labels and any
-moment provider exposing ``u_moment(n)`` and ``max_order``; values may be
-floats or any ring-like objects supporting ``+`` and ``*`` (the enumerator
-passes polynomials).
+Both are symbolic in the moments of u.  A signature is the sorted tuple of
+moment orders of a product <u^s1>...<u^sm>, the key of every coefficient
+map in the package; `distributions.moment_sum` evaluates a map on a law.
+All functions are pure and accept any tuple of hashable labels.
 """
 
 from __future__ import annotations
@@ -48,40 +48,33 @@ def compositions(path: tuple, m: int) -> list[tuple[tuple, ...]]:
     return out
 
 
-def path_moment(path: tuple, moments):
-    """Moment of a path: product over distinct labels of <u^multiplicity>.
+def path_moment(path: tuple) -> tuple[int, ...] | None:
+    """Signature of a path's moment, the product over distinct labels of
+    <u^multiplicity>: the sorted multiplicities, or None when some label
+    occurs once, since <u> = 0 kills the whole product.
 
     Under i.i.d. bond disorder the expectation of the product factorizes over
-    distinct bonds.  Any label of multiplicity 1 contributes <u> = 0 and kills
-    the whole product.
+    distinct bonds.
     """
     _check_path(path)
-    counts = Counter(path)
-    top = max(counts.values())
-    if top > moments.max_order:
-        raise ValueError(
-            f"moments available to order {moments.max_order}, need {top}"
-        )
-    result = 1.0
-    for mult in counts.values():
-        result = result * moments.u_moment(mult)
-    return result
+    mults = tuple(sorted(Counter(path).values()))
+    return None if mults[0] == 1 else mults
 
 
-def path_cumulant(path: tuple, moments):
-    """Ordered cumulant: alternating sum over contiguous compositions.
+def path_cumulant(path: tuple) -> dict[tuple[int, ...], int]:
+    """Ordered cumulant as a map signature -> integer coefficient.
 
-    E(path) = sum_m (-1)^(m-1) sum_{splits into m blocks} prod_j <block_j>.
-    Vanishes whenever the path contains a label appearing exactly once.
+    E(path) = sum_m (-1)^(m-1) sum_{splits into m blocks} prod_j <block_j>,
+    over the contiguous compositions of the path; terms that cancel are
+    dropped.  Empty whenever the path contains a label appearing exactly once.
     """
     _check_path(path)
-    k = len(path)
-    total = 0.0
-    for m in range(1, k + 1):
-        sign = 1.0 if m % 2 == 1 else -1.0
+    total: dict[tuple[int, ...], int] = {}
+    for m in range(1, len(path) + 1):
+        sign = 1 if m % 2 == 1 else -1
         for blocks in compositions(path, m):
-            prod = 1.0
-            for block in blocks:
-                prod = prod * path_moment(block, moments)
-            total = total + sign * prod
-    return total
+            sigs = [path_moment(block) for block in blocks]
+            if None not in sigs:
+                sig = tuple(sorted(itertools.chain.from_iterable(sigs)))
+                total[sig] = total.get(sig, 0) + sign
+    return {sig: c for sig, c in total.items() if c}

@@ -61,8 +61,6 @@ class TorusNetwork:
     d: int
     L: int
     conductances: np.ndarray
-    seed: int
-    sample_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,10 @@ class SigmaEstimate:
     mean: float
     stderr: float
     samples: int
-    L: int
     per_sample: tuple[float, ...] | None = None
     skipped: int = 0
     max_error: float = 0.0  # largest per-sample certificate (CorrectorSolution.error)
+    max_rel_error: float = 0.0  # largest certificate over its own estimate
 
 
 def _require_torus(d: int, L: int) -> None:
@@ -133,7 +131,7 @@ def sample_network(
     # draws and indices of only one row are held next to the conductances
     for row in cond:
         np.take(values, np.searchsorted(cum, gen.random(L**d), side="right"), out=row)
-    return TorusNetwork(d=d, L=L, conductances=cond, seed=seed, sample_index=sample_index)
+    return TorusNetwork(d=d, L=L, conductances=cond)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -324,7 +322,9 @@ def estimate_sigma_e(
 
     Each solve stops once its certified error is at most `tol` times its
     estimate (solve_corrector's stop="estimate"); `max_error` is the
-    largest of those certificates.
+    largest of those certificates and `max_rel_error` the largest ratio of
+    a certificate to its estimate, which a solve that met the stop rule
+    keeps at most `tol`.
 
     Deterministic for a given seed.  Samples whose solve fails are skipped
     and counted in `skipped`; the estimate is over the remaining ones.
@@ -347,10 +347,10 @@ def estimate_sigma_e(
         mean=float(ys.mean()),
         stderr=float(ys.std(ddof=1) / np.sqrt(len(ys))),
         samples=len(ys),
-        L=L,
         per_sample=tuple(raw.tolist()) if keep_per_sample else None,
         skipped=samples - len(ys),
         max_error=float(errors.max()),
+        max_rel_error=float((errors / raw).max()),
     )
 
 

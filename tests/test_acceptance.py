@@ -45,7 +45,7 @@ def _coef_tol(d, k, sig):
             floor = 1e-6
         else:
             floor = 1e-4 * abs(want) if abs(want) > 1e-3 else 1e-4
-        return max(floor, ctx["enum_error"][d, k].coefficient(sig) + ref.err.get(sig, 0.0))
+        return max(floor, ctx["enum_error"][d, k].get(sig, 0.0) + ref.err.get(sig, 0.0))
 
     return rule
 

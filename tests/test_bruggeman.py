@@ -1,12 +1,12 @@
 """Effective-medium root, its series, and the comparison with the expansion."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+import homogenize.bruggeman as bruggeman_mod
 from homogenize import (
     DistributionSpec,
     SolverError,
@@ -61,11 +61,12 @@ class TestRoot:
         hm = 1.0 / (0.3 / 0.5 + 0.7 / 2.0)
         assert solve_bruggeman(dist, 1).sigma_B == pytest.approx(hm, rel=1e-12)
 
-    def test_unconverged_polish_raises(self):
+    def test_unconverged_polish_raises(self, monkeypatch):
         # below the spacing of floats near the root, Newton alternates
         # between neighbours and never meets tol
+        monkeypatch.setattr(bruggeman_mod, "_TOL", 1e-16)
         with pytest.raises(SolverError) as exc:
-            solve_bruggeman(two_component(0.55, 1.71), 2, tol=1e-16)
+            solve_bruggeman(two_component(0.55, 1.71), 2)
         assert exc.value.iterations > 100
         assert abs(exc.value.residual) < 1e-15
         assert "1e-16" in str(exc.value)
@@ -101,11 +102,6 @@ class TestRoot:
                     return sum(p * (v - y) / (v + (d - 1) * y) for v, p in atoms)
 
                 assert f(x * (1 - tol)) >= 0 >= f(x * (1 + tol)), (dist, d)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.inf, math.nan])
-    def test_tol_must_be_finite_and_positive(self, tol):
-        with pytest.raises(ValueError, match="tol"):
-            solve_bruggeman(two_component(0.6, 1.4), 2, tol=tol)
 
     def test_root_bracketed_by_support(self):
         dist = DistributionSpec(atoms=((0.2, 0.25), (1.0, 0.5), (5.0, 0.25)))

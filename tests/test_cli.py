@@ -21,6 +21,7 @@ from homogenize import (
     save_distribution,
     two_component,
 )
+from homogenize.distributions import moment_sum
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,7 @@ class TestCommands:
         )
         assert len(calls) == len(data["families"]) == 11  # one path sum per family
         eo = enumerate_order(5, get_kernel_table(2, 128, 10))
-        assert data["value"] == eo.polynomial.evaluate(moments(law, 5))
+        assert data["value"] == moment_sum(eo.polynomial, moments(law, 5).u_moment)
 
     def test_expand_raw_moment_law(self, capsys, tmp_path):
         path = tmp_path / "raw.json"
@@ -167,7 +168,7 @@ class TestCommands:
     def test_oracle_reports_certified_error(self, capsys, kd_file, tol):
         data = run_json(capsys, "oracle", "--dim", "2", "--L", "16", "--samples", "4",
                         "--seed", "3", "--tol", str(tol), "--dist", kd_file)
-        assert 0.0 < data["max_error"] <= tol * data["mean"]
+        assert 0.0 < data["max_rel_error"] <= tol
 
     def test_oracle_deterministic(self, capsys, kd_file):
         args = ("oracle", "--dim", "2", "--L", "8", "--samples", "4", "--seed", "3",
@@ -270,7 +271,7 @@ class TestExitCodes:
         # skipped sample can fail the Monte Carlo gates
         def estimate(d, L, dist, samples, seed):
             mean = math.sqrt(math.prod(dist.values()))
-            return SigmaEstimate(mean=mean, stderr=1e-4, samples=samples - skipped, L=L,
+            return SigmaEstimate(mean=mean, stderr=1e-4, samples=samples - skipped,
                                  skipped=skipped)
 
         monkeypatch.setattr(cli, "estimate_sigma_e", estimate)

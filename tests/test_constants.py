@@ -62,7 +62,7 @@ class TestFormulaReduction:
         values = {
             (a, b): np.zeros(shape) for a in range(1, d + 1) for b in range(a, d + 1)
         }
-        table = KernelTable(d=d, N=16, R=R, values=values, quad_defect=0.0, est_tail=0.0)
+        table = KernelTable(d=d, N=16, R=R, values=values, quad_defect=0.0)
         consts, _ = dimension_constants(table=table)
         assert consts.I == 0.0
         assert consts.K5 == pytest.approx(3 * (d - 2) / d**4, abs=1e-15)

@@ -28,7 +28,7 @@ from homogenize import (
     two_component,
 )
 from homogenize import distributions as dist_mod
-from homogenize.distributions import DUALITY_GATE
+from homogenize.distributions import DUALITY_GATE, moment_sum
 
 I_REF = 0.0683
 
@@ -98,6 +98,16 @@ class TestMoments:
             moments(dist, 6)
         with pytest.raises(CapabilityError):
             dual(dist)
+
+
+class TestMomentSum:
+    def test_evaluate(self):
+        mom = moments(two_component(1.0, 4.0), 5)
+        terms = {(2, 3): 2.0, (5,): 1.0}
+        expected = 2.0 * mom.u_moment(2) * mom.u_moment(3) + mom.u_moment(5)
+        assert moment_sum(terms, mom.u_moment) == pytest.approx(expected)
+        # a zero coefficient is skipped: its order-7 moment is never asked for
+        assert moment_sum({(7,): 0.0}, mom.u_moment, total=1.5) == 1.5
 
 
 class TestValidation:

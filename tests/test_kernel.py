@@ -95,7 +95,6 @@ def _full_grid_quadrature(d, N, z, a, b):
 def _assert_same_table(got, want):
     assert (got.d, got.N, got.R) == (want.d, want.N, want.R)
     assert got.quad_defect == want.quad_defect
-    assert got.est_tail == want.est_tail
     assert sorted(got.values) == sorted(want.values)
     for key, arr in want.values.items():
         assert np.array_equal(got.values[key], arr)
@@ -104,11 +103,18 @@ def _assert_same_table(got, want):
 def _v1_file_bytes(table):
     """The layout of format version 1: every channel a <= b, in (a, b) order."""
     out = b"GKTB" + struct.pack("<IIII", 1, table.d, table.N, table.R)
-    out += struct.pack("<dd", table.quad_defect, table.est_tail)
+    out += struct.pack("<dd", table.quad_defect, 0.0)
     for a in range(1, table.d + 1):
         for b in range(a, table.d + 1):
             out += np.ascontiguousarray(channel_array(table, a, b)).astype("<f8").tobytes()
     return out
+
+
+def _v2_file_bytes(table):
+    """The layout of format version 2: the base channels after a header with
+    a tail slot."""
+    out = b"GKTB" + struct.pack("<IIIIdd", 2, table.d, table.N, table.R, table.quad_defect, 0.0)
+    return out + np.asarray([table.values[k] for k in ((1, 1), (1, 2))], dtype="<f8").tobytes()
 
 
 #: (H, I1, I2, I, K5) at the default (N, R), pinned from a build that ran one
@@ -413,7 +419,7 @@ class TestShellMachinery:
     @pytest.mark.parametrize("N, R", [(512, 255), (2048, 1023)])
     def test_largest_radius_gives_finite_tail_and_constants(self, N, R):
         table = build_kernel_table(2, N, R)
-        assert math.isfinite(table.est_tail)
+        assert all(math.isfinite(lattice_power_sum(table, 1, a, 2).tail) for a in (1, 2))
         consts, _ = dimension_constants(table=table)
         got = [consts.H, consts.I1, consts.I2, consts.I, consts.K5, *consts.err.values()]
         assert all(math.isfinite(v) for v in got), consts
@@ -444,7 +450,6 @@ class TestCache:
             table2_small.R,
         )
         assert loaded.quad_defect == table2_small.quad_defect
-        assert loaded.est_tail == table2_small.est_tail
         for key, arr in table2_small.values.items():
             assert np.array_equal(loaded.values[key], arr)
 
@@ -458,7 +463,7 @@ class TestCache:
         path = tmp_path / "table.bin"
         save_table(table2_small, path)
         box = (2 * table2_small.R + 1) ** 2
-        assert path.stat().st_size == 36 + 2 * 8 * box
+        assert path.stat().st_size == 28 + 2 * 8 * box
         assert [p.name for p in tmp_path.iterdir()] == ["table.bin"]
 
     def test_failed_write_keeps_the_old_file(self, table2_small, tmp_path):
@@ -478,7 +483,8 @@ class TestCache:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "short_header", "v1_file", "bad_magic", "huge_d", "other_key"]
+        "damage",
+        ["truncated", "short_header", "v1_file", "v2_file", "bad_magic", "huge_d", "other_key"],
     )
     def test_unreadable_cache_file_heals(self, damage, tmp_path, monkeypatch):
         monkeypatch.setenv("HOMOGENIZE_CACHE_DIR", str(tmp_path))
@@ -493,6 +499,7 @@ class TestCache:
                 "truncated": data[:-100],
                 "short_header": data[:20],
                 "v1_file": _v1_file_bytes(fresh),
+                "v2_file": _v2_file_bytes(fresh),
                 "bad_magic": b"NOPE" + data[4:],
                 "huge_d": data[:8] + struct.pack("<I", 4_000_000_000) + data[12:],
             }[damage])

@@ -303,7 +303,7 @@ class TestTorusDuality:
         net = sample_network(2, L, law, seed=seed)
         c = net.conductances.reshape(2, L, L)
         dual_c = np.stack([np.roll(1.0 / c[1], -1, axis=0), np.roll(1.0 / c[0], -1, axis=1)])
-        dual_net = resistor_mod.TorusNetwork(2, L, dual_c.reshape(2, -1), seed=seed)
+        dual_net = resistor_mod.TorusNetwork(2, L, dual_c.reshape(2, -1))
         sigma, sigma_dual = _energy_tensor(net), _energy_tensor(dual_net)
         expected = sigma / np.linalg.det(sigma)
         assert np.max(np.abs(sigma_dual - expected)) <= 1e-12 * np.max(np.abs(expected))
@@ -326,6 +326,15 @@ class TestEstimator:
         for i, value in enumerate(a.per_sample):
             net = sample_network(2, 12, law, 21, i)
             assert value == solve_corrector(net, stop="estimate").estimate
+
+    def test_max_rel_error_is_the_largest_per_sample_ratio(self):
+        law = two_component(0.1, 10.0)
+        est = estimate_sigma_e(2, 8, law, samples=4, seed=5, tol=1e-6)
+        sols = [solve_corrector(sample_network(2, 8, law, 5, i), tol=1e-6, stop="estimate")
+                for i in range(4)]
+        assert est.max_rel_error == max(sol.error / sol.estimate for sol in sols)
+        assert est.max_error == max(sol.error for sol in sols)
+        assert 0.0 < est.max_rel_error <= 1e-6
 
     def test_per_sample_kept_on_request(self):
         law = two_component(0.6, 1.4)
@@ -354,7 +363,7 @@ class TestEstimator:
 
         def flaky(network, direction=1, tol=1e-10, *, stop="residual"):
             calls["n"] += 1
-            if network.sample_index == 1:
+            if calls["n"] == 2:  # the solve of sample 1
                 raise SolverError("synthetic failure", residual=1.0)
             return original(network, direction=direction, tol=tol, stop=stop)
 
@@ -426,7 +435,7 @@ class TestControlVariate:
         for j in range(n):
             cond = np.ones((d, n))
             cond[0, j] = 2.0
-            trace += solve_corrector(resistor_mod.TorusNetwork(d, L, cond, seed=0)).born
+            trace += solve_corrector(resistor_mod.TorusNetwork(d, L, cond)).born
         assert trace == pytest.approx(-(1.0 - float(L) ** -d) / d, rel=0, abs=1e-14)
 
     @pytest.mark.parametrize("d, L, direction", [(2, 16, 1), (2, 16, 2), (3, 8, 3)])
@@ -452,7 +461,7 @@ class TestControlVariate:
         v = np.sign(sample_network(2, 16, two_component(0.5, 1.5), seed=3).conductances - 1.0)
         rest = []
         for eps in (0.01, 0.005):
-            net = resistor_mod.TorusNetwork(2, 16, 1.0 + eps * v, seed=0)
+            net = resistor_mod.TorusNetwork(2, 16, 1.0 + eps * v)
             sol = solve_corrector(net)
             rest.append(sol.estimate - 1.0 - (np.mean(net.conductances[0]) - 1.0 + sol.born))
         assert 6.0 < rest[0] / rest[1] < 10.0
