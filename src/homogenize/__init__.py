@@ -17,14 +17,12 @@ from .bruggeman import (
 from .constants import (
     DimensionConstants,
     dimension_constants,
-    h_strictly_decreasing,
     k5_via_H,
 )
 from .distributions import (
     DistributionSpec,
     DualityProbe,
     Moments,
-    PowerSeries,
     constant,
     dual,
     duality_residual_series,
@@ -32,7 +30,6 @@ from .distributions import (
     moments,
     recover_relations_order4,
     recover_relations_order6,
-    save_distribution,
     scale,
     self_dual_scale,
     three_value,
@@ -41,7 +38,6 @@ from .distributions import (
 from .enumerator import (
     EnumeratedOrder,
     PathFamily,
-    enumerate_families,
     enumerate_order,
 )
 from .errors import CapabilityError, CapacityError, SolverError
@@ -51,7 +47,6 @@ from .expansion import (
     bruggeman_coefficients,
     coefficients,
     max_order,
-    remainder_bound,
     sigma_e_series,
 )
 from .kernel import (
@@ -61,10 +56,8 @@ from .kernel import (
     gamma,
     get_kernel_table,
     lattice_power_sum,
-    load_table,
-    save_table,
 )
-from .lattice import compositions, path_cumulant, path_moment
+from .lattice import path_cumulant
 from .resistor import (
     SigmaEstimate,
     TorusNetwork,

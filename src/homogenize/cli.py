@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from .bruggeman import bruggeman_series, compare, solve_bruggeman
-from .constants import dimension_constants, h_strictly_decreasing, k5_via_H
+from .constants import dimension_constants, k5_via_H
 from .distributions import (
     DUALITY_GATE,
     DistributionSpec,
@@ -67,7 +67,8 @@ def _poly_dict(poly: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_constants(args) -> dict:
-    consts, table = dimension_constants(args.dim, N=args.resolution, R=args.radius)
+    table = get_kernel_table(args.dim, N=args.resolution, R=args.radius)
+    consts, _ = dimension_constants(table=table)
     return {
         "d": consts.d,
         "H": consts.H,
@@ -308,8 +309,8 @@ def cmd_reproduce(args) -> dict:
     _check(checks, "I2_d2", consts[2].I2, 0.00439, 5e-4)
     _check(checks, "I_d2", consts[2].I, 0.0683, 1e-3)
     hs = [consts[d].H for d in (2, 3, 4, 5)]
-    _check(checks, "H_strictly_decreasing", float(h_strictly_decreasing(hs)), 1.0, 0.0,
-           H_values=hs)
+    decreasing = all(a > b for a, b in zip(hs, hs[1:]))
+    _check(checks, "H_strictly_decreasing", float(decreasing), 1.0, 0.0, H_values=hs)
     for d in (2, 3, 4, 5):
         _check(
             checks,
@@ -395,25 +396,16 @@ def cmd_reproduce(args) -> dict:
     _check(checks, "remainder_honesty_violations", violations, 0.0, 0.0, cases=total)
 
     # comparison signs
-    sign_fail = 0
-    sign_total = 0
-    for eps in (0.05, 0.1, 0.2):
-        rep = compare(two_component(1 - eps, 1 + eps), 3, consts[3])
-        sign_total += 1
-        sign_fail += rep.predicted_sign != "positive"
+    sign_cases = [(two_component(1 - eps, 1 + eps), 3, "positive") for eps in (0.05, 0.1, 0.2)]
     for eps in (0.05, 0.15):
         for p1 in (0.6, 0.7):
-            up = compare(two_component(1 - eps, 1 + eps, p1), 2, consts[2])
-            down = compare(two_component(1 + eps, 1 - eps, p1), 2, consts[2])
-            sign_total += 2
-            sign_fail += up.predicted_sign != "positive"
-            sign_fail += down.predicted_sign != "negative"
-    for eps in (0.1, 0.2):
-        for p in (0.2, 0.3, 0.4):
-            rep = compare(three_value(eps, -1.0, p), 2, consts[2])
-            sign_total += 1
-            sign_fail += rep.predicted_sign != "negative"
-    _check(checks, "comparison_sign_failures", sign_fail, 0.0, 0.0, cases=sign_total)
+            sign_cases += [(two_component(1 - eps, 1 + eps, p1), 2, "positive"),
+                           (two_component(1 + eps, 1 - eps, p1), 2, "negative")]
+    sign_cases += [(three_value(eps, -1.0, p), 2, "negative")
+                   for eps in (0.1, 0.2) for p in (0.2, 0.3, 0.4)]
+    sign_fail = sum(compare(dist, d, consts[d]).predicted_sign != want
+                    for dist, d, want in sign_cases)
+    _check(checks, "comparison_sign_failures", sign_fail, 0.0, 0.0, cases=len(sign_cases))
 
     failed = sum(1 for c in checks if not c["pass"])
     return {

@@ -44,17 +44,8 @@ def k5_via_H(constants: DimensionConstants) -> float:
     return (3 * d + d**4 * constants.I + 4 * constants.H - 10) / d**4
 
 
-def h_strictly_decreasing(h_values) -> bool:
-    """Whether a sequence of H values is strictly decreasing (reported, not assumed)."""
-    hs = list(h_values)
-    return all(a > b for a, b in zip(hs, hs[1:]))
-
-
 def dimension_constants(
-    d: int | None = None,
-    table: KernelTable | None = None,
-    N: int | None = None,
-    R: int | None = None,
+    d: int | None = None, table: KernelTable | None = None
 ) -> tuple[DimensionConstants, KernelTable]:
     """Compute all constants for one dimension, building a table if needed.
 
@@ -64,16 +55,15 @@ def dimension_constants(
     off-axis channels for a > 2 equal the (1, 2) one by coordinate symmetry.
     K5(d) = 3(d-2)/d^4 + I(d) - (4/d) * sum_{z != 0} G_11(z)^3, with the
     off-origin cube sum read off the same box sum as H (it vanishes
-    identically in 2D).  With a prebuilt table, d, N and R may be given
-    only if they agree with it.
+    identically in 2D).  With a prebuilt table, d may be given only if it
+    agrees with it.
     """
     if table is None:
         if d is None:
             raise ValueError("pass a dimension or a prebuilt table")
-        table = get_kernel_table(d, N=N, R=R)
-    for name, given, have in (("d", d, table.d), ("N", N, table.N), ("R", R, table.R)):
-        if given is not None and given != have:
-            raise ValueError(f"{name}={given} disagrees with the table's {name}={have}")
+        table = get_kernel_table(d)
+    if d is not None and d != table.d:
+        raise ValueError(f"d={d} disagrees with the table's d={table.d}")
     d = table.d
     cube = lattice_power_sum(table, 1, 1, 3)
     h = -(d**3) * (cube.value + cube.tail)

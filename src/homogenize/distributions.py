@@ -28,6 +28,8 @@ _PROB_TOL = 1e-12
 #: Relative room for rounding in |<u^n>|^(1/n) <= u0, so that the moments of
 #: an atomic law, passed as raw input with their u0, are accepted.
 _MOMENT_BOUND_RTOL = 1e-9
+#: Relative spread allowed in the products v_i * v_(n+1-i) of a self-dual law.
+_SELF_DUAL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ def scale(dist: DistributionSpec, c: float) -> DistributionSpec:
     return DistributionSpec(atoms=tuple((c * v, p) for v, p in dist.atoms))
 
 
-def self_dual_scale(dist: DistributionSpec, tol: float = 1e-9) -> float | None:
+def self_dual_scale(dist: DistributionSpec) -> float | None:
     """Scale s0 making the law of s0*sigma self-dual, or None if there is none.
 
     After sorting, reciprocation reverses the order of the support, so the
@@ -196,12 +198,11 @@ def self_dual_scale(dist: DistributionSpec, tol: float = 1e-9) -> float | None:
     dist._require_atoms("self_dual_scale")
     v = dist.values()
     p = dist.probs()
-    n = len(v)
     if np.max(np.abs(p - p[::-1])) > _PROB_TOL:
         return None
     products = v * v[::-1]
     c = float(np.exp(np.mean(np.log(products))))
-    if np.max(np.abs(products / c - 1.0)) > tol:
+    if np.max(np.abs(products / c - 1.0)) > _SELF_DUAL_RTOL:
         return None
     return 1.0 / np.sqrt(c)
 
@@ -252,12 +253,6 @@ class PowerSeries:
 
     def __sub__(self, other):
         return PowerSeries(self.c - self._lift(other).c)
-
-    def __rsub__(self, other):
-        return PowerSeries(self._lift(other).c - self.c)
-
-    def __neg__(self):
-        return PowerSeries(-self.c)
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
@@ -407,8 +402,6 @@ def solve_residual_relations(
     least squares.
     """
     unknowns = list(unknowns)
-    if len(_PROBES) < len(unknowns):
-        raise ValueError("need at least as many probes as unknowns")
     base_map = dict(fixed)
     for sig in unknowns:
         base_map[sig] = 0.0
@@ -511,13 +504,3 @@ def load_distribution(path) -> DistributionSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return distribution_from_dict(json.load(fh))
 
-
-def save_distribution(dist: DistributionSpec, path) -> None:
-    """Write the JSON object format that `load_distribution` reads."""
-    if dist.atoms is not None:
-        data = {"atoms": [{"value": v, "prob": p} for v, p in dist.atoms]}
-    else:
-        data = {"u_moments": list(dist.raw_u_moments), "mean": dist.raw_mean, "u0": dist.raw_u0}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")

@@ -49,10 +49,6 @@ class PathFamily:
     direction_pinned: bool
 
     @property
-    def k(self) -> int:
-        return len(self.pattern)
-
-    @property
     def n_blocks(self) -> int:
         return len(self.multiplicities)
 

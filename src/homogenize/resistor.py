@@ -215,7 +215,7 @@ def solve_corrector(
     `error` = <r, Delta^+ r> / (s_min N) bounds estimate - sigma*.  The
     preconditioner is Delta^+, so CG screens each iteration on its
     rho = <r, z> and the energy recursion E -= alpha rho / N, then confirms
-    on the true residual; a failed confirmation continues from it.
+    on the true residual; a failed confirmation restarts CG from it.
 
     `born` is mean(s * grad z0) over the direction bonds s, where z0 is the
     first preconditioned residual.  z0 = m * phi_1 for the first-order
@@ -268,7 +268,8 @@ def solve_corrector(
             certified = error <= tol * energy
             if certified:
                 break
-            np.copyto(r, q)  # and continue from it
+            np.copyto(r, q)  # and restart from it
+            p.fill(0.0)  # along z: the old direction is not conjugate to it
             rho, r_norm = _dot(r, z), np.sqrt(_dot(r, r))
         p *= rho / rho_prev
         p += z

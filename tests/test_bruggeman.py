@@ -56,6 +56,10 @@ class TestRoot:
         expected = polynomial_root_oracle(atoms, 3)
         assert solve_bruggeman(dist, 3).sigma_B == pytest.approx(expected, abs=1e-10)
 
+    def test_dimension_below_one_refused(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            solve_bruggeman(two_component(0.6, 1.4), 0)
+
     def test_1d_harmonic_mean(self):
         dist = two_component(0.5, 2.0, 0.3)
         hm = 1.0 / (0.3 / 0.5 + 0.7 / 2.0)
@@ -201,6 +205,13 @@ class TestCoefficientAgreement:
 
 
 class TestCompare:
+    def test_dimension_is_checked(self, const2):
+        law = two_component(0.6, 1.4)
+        with pytest.raises(ValueError, match="requires d >= 2"):
+            compare(law, 1, const2)
+        with pytest.raises(ValueError, match="constants are for d=2, not d=3"):
+            compare(law, 3, const2)
+
     def test_d3_small_disorder_positive(self, const3):
         rep = compare(two_component(0.9, 1.1), 3, const3)
         assert rep.case == "d_ge_3_variance"

@@ -18,10 +18,15 @@ from homogenize import (
     enumerate_order,
     get_kernel_table,
     moments,
-    save_distribution,
     two_component,
 )
 from homogenize.distributions import moment_sum
+
+
+def write_law(path, dist):
+    """Write an atomic law in the documented JSON file format."""
+    atoms = [{"value": v, "prob": p} for v, p in dist.atoms]
+    path.write_text(json.dumps({"atoms": atoms}))
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +42,14 @@ def _use_cache(monkeypatch, cache_dir):
 @pytest.fixture(scope="module")
 def kd_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("dists") / "kd.json"
-    save_distribution(two_component(0.6, 1.4), path)
+    write_law(path, two_component(0.6, 1.4))
     return str(path)
 
 
 @pytest.fixture(scope="module")
 def const_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("dists") / "one.json"
-    save_distribution(constant(1.0), path)
+    write_law(path, constant(1.0))
     return str(path)
 
 
@@ -116,7 +121,7 @@ class TestCommands:
     ):
         law = two_component(1.0, 4.0)  # skewed: every order-5 signature contributes
         path = tmp_path / "skewed.json"
-        save_distribution(law, path)
+        write_law(path, law)
         calls = []
         original = lattice.path_cumulant
         monkeypatch.setattr(lattice, "path_cumulant",
@@ -206,6 +211,11 @@ class TestExitCodes:
         code = cli.main(["expand", "--dim", "2", "--order", "4", "--dist", "/nope.json"])
         assert code == 2
 
+    def test_enumerate_without_dist_or_symbolic_is_2(self, capsys):
+        argv = ["enumerate", "--dim", "2", "--k", "3", "--resolution", "128", "--radius", "10"]
+        assert cli.main(argv) == 2
+        assert "requires --dist FILE" in capsys.readouterr().err
+
     def test_invalid_order_is_2(self, capsys, kd_file):
         code = cli.main(["expand", "--dim", "3", "--order", "6", "--dist", kd_file])
         assert code == 2
@@ -261,7 +271,7 @@ class TestExitCodes:
 
     def test_bruggeman_root_hidden_by_rounding_is_3(self, capsys, tmp_path):
         path = tmp_path / "contrast.json"
-        save_distribution(two_component(1e-12, 1e12), path)
+        write_law(path, two_component(1e-12, 1e12))
         assert cli.main(["bruggeman", "--dim", "2", "--dist", str(path)]) == 3
         assert "did not reach" in capsys.readouterr().err
 
@@ -330,9 +340,13 @@ class TestExitCodes:
              "atoms[0].value"),
             ('{"atoms": [{"value": true, "prob": 0.5}, {"value": 1.4, "prob": 0.5}]}',
              "atoms[0].value"),
+            ('{"atoms": [[0.6, 0.5], {"value": 1.4, "prob": 0.5}]}', "atoms[0] must be an object"),
+            ('{"u_moments": [0.01], "mean": 1%s, "u0": 0.2}' % ("0" * 400),
+             "too large for a float"),
         ],
         ids=["missing_prob", "null_moment", "string_mean", "atoms_not_list",
-             "top_level_list", "string_value", "bool_value"],
+             "top_level_list", "string_value", "bool_value", "atom_not_object",
+             "huge_integer"],
     )
     def test_malformed_law_file_is_2(self, capsys, tmp_path, law, field):
         path = tmp_path / "law.json"

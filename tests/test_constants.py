@@ -6,7 +6,6 @@ import pytest
 from homogenize import (
     build_kernel_table,
     dimension_constants,
-    h_strictly_decreasing,
     k5_via_H,
 )
 from homogenize.kernel import KernelTable, lattice_power_sum
@@ -38,10 +37,6 @@ class TestConsistency:
         consts = {"d2": const2, "d3": const3}[which]
         combined = max(2 * consts.err["K5"], 1e-9)
         assert consts.K5 == pytest.approx(k5_via_H(consts), abs=combined)
-
-    def test_monotonicity_helper(self):
-        assert h_strictly_decreasing([1.0, 0.923, 0.874, 0.846])
-        assert not h_strictly_decreasing([1.0, 0.95, 0.95])
 
     def test_computed_H_sequence_decreases(self, const2, const3):
         # d = 4, 5 are exercised in the acceptance suite; the trend must
@@ -90,16 +85,10 @@ class TestFormulaReduction:
     def test_conflicting_dimension_refused(self, table2):
         with pytest.raises(ValueError, match="d=3"):
             dimension_constants(3, table=table2)
-        consts, _ = dimension_constants(2, table=table2, N=table2.N, R=table2.R)
+        consts, _ = dimension_constants(2, table=table2)
         assert consts.d == 2
-
-    def test_conflicting_resolution_refused(self, table2):
-        with pytest.raises(ValueError, match="N=64"):
-            dimension_constants(table=table2, N=64)
-
-    def test_conflicting_radius_refused(self, table2):
-        with pytest.raises(ValueError, match="R=8"):
-            dimension_constants(table=table2, R=8)
+        with pytest.raises(ValueError, match="pass a dimension or a prebuilt table"):
+            dimension_constants()
 
 
 #: Grids refined from DEFAULTS in both N and R.

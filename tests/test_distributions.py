@@ -13,7 +13,6 @@ from homogenize import (
     DistributionSpec,
     DualityProbe,
     ExpansionCoefficients,
-    PowerSeries,
     constant,
     dual,
     duality_residual_series,
@@ -21,14 +20,13 @@ from homogenize import (
     moments,
     recover_relations_order4,
     recover_relations_order6,
-    save_distribution,
     scale,
     self_dual_scale,
     three_value,
     two_component,
 )
 from homogenize import distributions as dist_mod
-from homogenize.distributions import DUALITY_GATE, moment_sum
+from homogenize.distributions import DUALITY_GATE, PowerSeries, moment_sum
 
 I_REF = 0.0683
 
@@ -96,6 +94,8 @@ class TestMoments:
         assert m.u_moment(2) == 0.04
         with pytest.raises(ValueError):
             moments(dist, 6)
+        with pytest.raises(ValueError, match="max_order must be >= 2"):
+            moments(dist, 1)
         with pytest.raises(CapabilityError):
             dual(dist)
 
@@ -134,6 +134,13 @@ class TestValidation:
         atoms.insert(where % (len(atoms) + 1), atom)
         with pytest.raises(ValueError, match="finite"):
             DistributionSpec(atoms=tuple(atoms))
+
+    @pytest.mark.parametrize("missing", ["raw_mean", "raw_u_moments", "raw_u0"])
+    def test_raw_law_needs_every_field(self, missing):
+        fields = {"raw_mean": 1.0, "raw_u_moments": (0.01,), "raw_u0": 0.2}
+        del fields[missing]
+        with pytest.raises(ValueError, match="need atoms, or mean"):
+            DistributionSpec(**fields)
 
     def test_non_finite_raw_mean_rejected(self):
         for mean in (math.inf, math.nan):
@@ -381,10 +388,10 @@ class TestRelationRecovery:
 
 class TestFileFormat:
     def test_atom_roundtrip(self, tmp_path):
-        d = two_component(0.6, 1.4)
         path = tmp_path / "dist.json"
-        save_distribution(d, path)
-        assert load_distribution(path) == d
+        atoms = [{"value": 1.4, "prob": 0.5}, {"value": 0.6, "prob": 0.5}]
+        path.write_text(json.dumps({"atoms": atoms}))
+        assert load_distribution(path) == two_component(0.6, 1.4)
 
     def test_label_key_is_ignored(self, tmp_path):
         # law files written when laws carried a label still load
@@ -398,7 +405,7 @@ class TestFileFormat:
             atoms=None, raw_mean=1.0, raw_u_moments=(0.01, 0.0), raw_u0=0.1
         )
         path = tmp_path / "dist.json"
-        save_distribution(d, path)
+        path.write_text(json.dumps({"u_moments": [0.01, 0], "mean": 1, "u0": 0.1}))
         assert load_distribution(path) == d
 
     def test_bad_payload(self, tmp_path):

@@ -9,12 +9,12 @@ from homogenize import (
     CapabilityError,
     build_kernel_table,
     coefficients,
-    enumerate_families,
     enumerate_order,
     moments,
     two_component,
 )
 from homogenize.distributions import moment_sum
+from homogenize.enumerator import enumerate_families
 
 
 class TestFamilies:

@@ -17,8 +17,6 @@ from homogenize import (
     dimension_constants,
     gamma,
     lattice_power_sum,
-    load_table,
-    save_table,
 )
 import homogenize.kernel as kernel
 from homogenize.kernel import (
@@ -30,6 +28,8 @@ from homogenize.kernel import (
     _hurwitz_zeta,
     direct_quadrature,
     get_kernel_table,
+    load_table,
+    save_table,
     shell_radii,
     tail_corrected_sum,
 )
@@ -358,6 +358,12 @@ class TestValidationAndCapacity:
     def test_radius_too_large(self):
         with pytest.raises(ValueError):
             build_kernel_table(2, 16, 8)
+        with pytest.raises(ValueError, match="R must be >= 1"):
+            build_kernel_table(2, 16, 0)
+
+    def test_no_default_resolution_past_d5(self):
+        with pytest.raises(ValueError, match="no default resolution for d=6"):
+            get_kernel_table(6)
 
     def test_low_dimension(self):
         with pytest.raises(ValueError):
@@ -370,6 +376,8 @@ class TestValidationAndCapacity:
             gamma(table2_small, 0, 1, (0, 0))
         with pytest.raises(ValueError):
             gamma(table2_small, 1, 3, (0, 0))
+        with pytest.raises(ValueError, match="2 coordinates"):
+            gamma(table2_small, 1, 1, (0,))
 
 
 class TestShellMachinery:
@@ -484,7 +492,8 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "damage",
-        ["truncated", "short_header", "v1_file", "v2_file", "bad_magic", "huge_d", "other_key"],
+        ["truncated", "truncated_body", "short_header", "v1_file", "v2_file", "bad_magic",
+         "huge_d", "other_key"],
     )
     def test_unreadable_cache_file_heals(self, damage, tmp_path, monkeypatch):
         monkeypatch.setenv("HOMOGENIZE_CACHE_DIR", str(tmp_path))
@@ -497,6 +506,7 @@ class TestCache:
         else:
             path.write_bytes({
                 "truncated": data[:-100],
+                "truncated_body": data[:-96],  # whole float64s: refused by its length
                 "short_header": data[:20],
                 "v1_file": _v1_file_bytes(fresh),
                 "v2_file": _v2_file_bytes(fresh),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homogenize import compositions, path_cumulant, path_moment
+from homogenize.lattice import compositions, path_cumulant, path_moment
 from homogenize.distributions import moment_sum, moments, two_component
 
 MOM = moments(two_component(1.0, 4.0), 8)  # u = -/+ 0.6, all moments nonzero for even n

@@ -94,6 +94,9 @@ class TestSampling:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_network(2, 3, constant(1.0), seed=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="uint64"):
+                sample_network(2, 8, constant(1.0), seed=seed)
         raw = DistributionSpec(atoms=None, raw_mean=1.0, raw_u_moments=(0.01,), raw_u0=0.1)
         with pytest.raises(CapabilityError):
             sample_network(2, 8, raw, seed=0)
@@ -235,6 +238,29 @@ class TestCertificate:
             assert sol.error == 0.0
             assert sol.iterations == 0
 
+    @pytest.mark.parametrize("delta", [1e-3, 1e-2])
+    def test_failed_certificate_restarts_along_the_true_residual(self, delta, monkeypatch):
+        # a stencil whose first three products are off by (1 + delta) makes the
+        # recursive residual drift from the true one, so the screen fires before
+        # the estimate is certified and CG must restart from the true residual
+        net = sample_network(2, 16, two_component(0.6, 1.4), 3)
+        converged = solve_corrector(net, tol=1e-13, stop="estimate")
+        stencil, calls = resistor_mod._stencil, []
+
+        def perturbed(sig, phi, out, flux):
+            stencil(sig, phi, out, flux)
+            calls.append(None)
+            if len(calls) <= 3:
+                out *= 1.0 + delta
+
+        monkeypatch.setattr(resistor_mod, "_stencil", perturbed)
+        sol = solve_corrector(net, tol=1e-10, stop="estimate")
+        assert len(calls) - sol.iterations >= 2  # certified after a failed attempt
+        assert sol.iterations <= 15
+        ulps = 4 * np.spacing(sol.estimate)
+        assert -ulps <= sol.estimate - converged.estimate <= sol.error + ulps
+        assert sol.error <= 1e-10 * sol.estimate
+
     def test_stop_rule_is_validated(self):
         net = sample_network(2, 8, constant(1.0), seed=0)
         with pytest.raises(ValueError, match="stop"):
@@ -372,6 +398,9 @@ class TestEstimator:
         assert est.skipped == 1
         assert est.samples == 3
         assert calls["n"] == 4
+        calls["n"] = 1  # the first solve of the next run fails, leaving one of two
+        with pytest.raises(SolverError, match="only 1 of 2 samples solved"):
+            resistor_mod.estimate_sigma_e(2, 8, two_component(0.6, 1.4), samples=2, seed=2)
 
     def test_unconverged_samples_are_skipped(self, monkeypatch):
         # a preconditioner that annihilates every residual breaks CG down at
