@@ -28,8 +28,7 @@ from .distributions import (
     duality_residual_series,
     load_distribution,
     moments,
-    recover_relations_order4,
-    recover_relations_order6,
+    recover_relations,
     scale,
     self_dual_scale,
     three_value,

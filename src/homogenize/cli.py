@@ -29,13 +29,11 @@ from .distributions import (
     DUALITY_GATE,
     DistributionSpec,
     DualityProbe,
-    _order4_relations,
     duality_residual_series,
     load_distribution,
     moment_sum,
     moments,
-    recover_relations_order4,
-    recover_relations_order6,
+    recover_relations,
     three_value,
     two_component,
 )
@@ -353,12 +351,12 @@ def cmd_reproduce(args) -> dict:
     _check(checks, "duality_residual_max", worst, 0.0, DUALITY_GATE)
 
     for a3 in (0.25, 0.4):
-        rel4 = recover_relations_order4(a3)
-        dev4 = max(abs(rel4[sig] - c) for sig, c in _order4_relations(a3).items())
+        rel4 = recover_relations({**coeffs2.a, (3,): a3}, 4)
+        target4 = {(4,): 0.25 - 1.5 * a3, (2, 2): 1.5 * a3 - 0.375}
+        dev4 = max(abs(rel4[sig] - c) for sig, c in target4.items())
         _check(checks, f"relations_order4_a3={a3}", dev4, 0.0, 1e-8)
-    a = coeffs2.a
-    rel6 = recover_relations_order6(a[(3,)], a[(5,)], a[(2, 3)])
-    dev6 = max(abs(rel6[sig] - a[sig]) for sig in ((2, 2, 2), (3, 3), (2, 4), (6,)))
+    rel6 = recover_relations(coeffs2.a, 6)
+    dev6 = max(abs(rel6[sig] - coeffs2.a[sig]) for sig in ((2, 2, 2), (3, 3), (2, 4), (6,)))
     _check(checks, "relations_order6", dev6, 0.0, 1e-8)
 
     # Keller-Dykhne closure

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import KernelTable, _int_power, gamma, get_kernel_table, lattice_power_sum
+from .kernel import KernelTable, gamma, get_kernel_table, lattice_power_sum
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,8 @@ def dimension_constants(
 
     # the off-origin sum is the box sum less the origin cube, with the same
     # tail: bit for bit lattice_power_sum(table, 1, 1, 3, include_origin=False)
-    origin = _int_power(gamma(table, 1, 1, (0,) * d), 3)
+    g0 = gamma(table, 1, 1, (0,) * d)
+    origin = g0 * (g0 * g0)
     s3 = (cube.value - origin) + cube.tail
     k5 = 3.0 * (d - 2) / d**4 + i - (4.0 / d) * s3
     ek5 = ei + (4.0 / d) * cube.err

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -347,12 +347,6 @@ def _series_residual(series: tuple, coeff_map: dict) -> np.ndarray:
     return (sa * sb - 1.0).c
 
 
-def _three_value_residual(p: float, alpha: float, coeff_map: dict, order: int) -> np.ndarray:
-    """eps-coefficients of sigma_e({sigma}) * sigma_e({1/sigma}) - 1."""
-    max_m = max((max(sig) for sig in coeff_map if coeff_map[sig] != 0.0), default=2)
-    return _series_residual(_probe_series(p, alpha, order, max_m), coeff_map)
-
-
 def duality_residual_series(
     probe: DualityProbe, coeffs_2d: "ExpansionCoefficients"
 ) -> np.ndarray:
@@ -383,65 +377,50 @@ def duality_residual_series(
             f"rounding: order {k} cancels terms of size |alpha|^{k}, so |alpha| must stay "
             f"below {limit:.3g} to keep the rounding bound under {DUALITY_GATE:g}"
         )
-    return _three_value_residual(probe.p, probe.alpha_ratio, coeffs_2d.a, probe.order)
+    max_m = max((max(sig) for sig, c in coeffs_2d.a.items() if c != 0.0), default=2)
+    series = _probe_series(probe.p, probe.alpha_ratio, probe.order, max_m)
+    return _series_residual(series, coeffs_2d.a)
 
 
 _PROBES = ((0.3, 2.0), (0.25, -1.0), (0.2, 3.0), (0.35, 0.5), (0.15, -2.0), (0.4, 1.5))
 
 
-def solve_residual_relations(
-    eps_power: int,
-    fixed: dict[tuple[int, ...], float],
-    unknowns: Iterable[tuple[int, ...]],
-) -> dict[tuple[int, ...], float]:
-    """Solve for the coefficients that make the eps^eps_power residual vanish.
+def recover_relations(coeff_map: dict, order: int) -> dict[tuple[int, ...], float]:
+    """The coefficients of total order `order` that 2D duality implies.
 
-    The residual coefficient is affine in each unknown at its leading order,
-    so finite differences against the zero setting give exact columns; the
-    resulting linear system over six fixed (p, alpha) probes is solved by
-    least squares.
+    The unknowns are the signatures of `coeff_map` of total order `order`;
+    their values are ignored.  Signatures of lower order are held fixed, and
+    higher ones are dropped.  The eps^order residual coefficient is affine
+    in each unknown, so finite differences against the zero setting give
+    exact columns; the linear system over six fixed (p, alpha) probes is
+    solved by least squares.  Raises ValueError for an odd order (duality
+    fixes only even ones), for a map with no unknown, and for an unknown set
+    whose fit leaves a residual above DUALITY_GATE on any probe.
     """
-    unknowns = list(unknowns)
-    base_map = dict(fixed)
-    for sig in unknowns:
-        base_map[sig] = 0.0
+    if order % 2:
+        raise ValueError(f"duality fixes only even orders, got {order}")
+    unknowns = sorted((sig for sig in coeff_map if sum(sig) == order), key=lambda s: (len(s), s))
+    if not unknowns:
+        raise ValueError(f"the map has no signature of total order {order} to solve for")
+    base_map = {sig: c for sig, c in coeff_map.items() if sum(sig) < order}
+    base_map.update(dict.fromkeys(unknowns, 0.0))
     # each <u^n> series is independent of max_moment, so one set per probe
     # serves every map below bit for bit
-    series = [_probe_series(p, a, eps_power, max(map(max, base_map), default=2))
-              for p, a in _PROBES]
+    series = [_probe_series(p, a, order, max(map(max, base_map))) for p, a in _PROBES]
 
-    def residuals(coeff_map):
-        return np.array([_series_residual(s, coeff_map)[eps_power] for s in series])
+    def residuals(m):
+        return np.array([_series_residual(s, m)[order] for s in series])
 
     rhs = residuals(base_map)
-    cols = []
-    for sig in unknowns:
-        bumped = dict(base_map)
-        bumped[sig] = 1.0
-        cols.append(residuals(bumped) - rhs)
-    A = np.column_stack(cols)
+    A = np.column_stack([residuals({**base_map, sig: 1.0}) - rhs for sig in unknowns])
     x, *_ = np.linalg.lstsq(A, -rhs, rcond=None)
+    misfit = float(np.max(np.abs(A @ x + rhs)))
+    if misfit > DUALITY_GATE:
+        raise ValueError(
+            f"no values of {unknowns} satisfy duality at order {order}: "
+            f"the fit leaves a residual of {misfit:.3g} (gate {DUALITY_GATE:g})"
+        )
     return dict(zip(unknowns, x.tolist()))
-
-
-def _order4_relations(a3: float) -> dict:
-    """Closed form of the order-4 coefficients that duality implies, given a3."""
-    return {(4,): 0.25 - 1.5 * a3, (2, 2): 1.5 * a3 - 0.375}
-
-
-def recover_relations_order4(a3: float) -> dict:
-    """Coefficients at total order 4 implied by duality, given a3."""
-    return solve_residual_relations(4, {(2,): -0.5, (3,): a3}, [(4,), (2, 2)])
-
-
-def recover_relations_order6(a3: float, a5: float, a23: float) -> dict:
-    """Coefficients at total order 6 implied by duality, given a3, a5, a23.
-
-    The order-4 coefficients entering the cross terms are the closed-form
-    order-4 relations at the same a3.
-    """
-    fixed = {(2,): -0.5, (3,): a3, **_order4_relations(a3), (5,): a5, (2, 3): a23}
-    return solve_residual_relations(6, fixed, [(6,), (2, 4), (3, 3), (2, 2, 2)])
 
 
 # ---------------------------------------------------------------------------

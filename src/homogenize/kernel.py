@@ -27,7 +27,7 @@ import math
 import os
 import struct
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
@@ -119,25 +119,25 @@ def build_kernel_table(d: int, N: int, R: int) -> KernelTable:
 
     idx = np.arange(-R, R + 1)
     values = {(a, b): _folded_sum(d, N, a, b, [idx] * d) for a, b in _BASE}
-    table = KernelTable(d, N, R, values, 0.0)
-    return replace(table, quad_defect=_probe_quad_defect(table))
+    return KernelTable(d, N, R, values, _probe_quad_defect(d, N))
 
 
 def _axis_shape(n: int, d: int, ax: int) -> tuple[int, ...]:
     return (1,) * ax + (n,) + (1,) * (d - 1 - ax)
 
 
-def _probe_quad_defect(table: KernelTable) -> float:
-    """Max |G_N - G_2N| over a few probe sites, read off a radius-2 box at 2N."""
-    d, N = table.d, table.N
+def _probe_quad_defect(d: int, N: int) -> float:
+    """Max |G_N - G_2N| over a few probe sites, read off radius-2 boxes at N
+    and 2N, so that it does not depend on the table's own radius."""
     probes = [(1,) + (0,) * (d - 1), (1, 1) + (0,) * (d - 2)]
     if d <= 3:
         probes.append((2, 1) + (0,) * (d - 2))
     channels = [(1, 1), (1, d)] if d <= 3 else [(1, 1)]
     near = [np.arange(-2, 3)] * d
-    fine = {key: _folded_sum(d, 2 * N, *key, near) for key in _BASE[:len(channels)]}
-    fine_table = KernelTable(d, 2 * N, 2, fine, 0.0)
-    return max(abs(gamma(table, a, b, z) - gamma(fine_table, a, b, z))
+    keys = _BASE[:len(channels)]
+    coarse, fine = (KernelTable(d, n, 2, {k: _folded_sum(d, n, *k, near) for k in keys}, 0.0)
+                    for n in (N, 2 * N))
+    return max(abs(gamma(coarse, a, b, z) - gamma(fine, a, b, z))
                for a, b in channels for z in probes)
 
 

@@ -86,6 +86,14 @@ class TestCommands:
         got += data["err"].values()
         assert all(math.isfinite(v) for v in got), out
 
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--dim", "2", "--resolution", "8", "--radius", "1"),
+        ("kernel", "--dim", "3", "--resolution", "16", "--radius", "1"),
+    ])
+    def test_radius_one_tables_build(self, capsys, argv):
+        data = run_json(capsys, *argv)
+        assert data["R"] == 1
+
     def test_kernel_report(self, capsys):
         data = run_json(capsys, "kernel", "--dim", "2", "--resolution", "64", "--radius", "6")
         assert data["gamma11_origin"] == pytest.approx(-0.5, abs=1e-6)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +19,7 @@ from homogenize import (
     duality_residual_series,
     load_distribution,
     moments,
-    recover_relations_order4,
-    recover_relations_order6,
+    recover_relations,
     scale,
     self_dual_scale,
     three_value,
@@ -227,9 +227,17 @@ class TestDuality:
 
     def test_self_dual_scale_generic_three_value_absent(self):
         assert self_dual_scale(three_value(0.3, 2.0, 0.25)) is None
+        # equal weights pass the probability test; the products 3, 4, 3 do not pair up
+        law = DistributionSpec(atoms=((1.0, 1 / 3), (2.0, 1 / 3), (3.0, 1 / 3)))
+        assert self_dual_scale(law) is None
 
     def test_self_dual_scale_constant(self):
         assert self_dual_scale(constant(2.0)) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("c", [0.0, -2.0])
+    def test_scale_factor_must_be_positive(self, c):
+        with pytest.raises(ValueError, match="scale factor must be positive"):
+            scale(two_component(1.0, 4.0), c)
 
     def test_scaled_law_moments_match_dual(self):
         d = two_component(1.0, 4.0)
@@ -259,6 +267,8 @@ class TestPowerSeries:
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PowerSeries.variable(3) + PowerSeries.variable(4)
+        with pytest.raises(ValueError, match="truncation orders differ"):
+            PowerSeries.variable(3) * PowerSeries.variable(4)
 
 
 class TestDualityResidual:
@@ -335,12 +345,12 @@ class TestDualityResidual:
 class TestRelationRecovery:
     @pytest.mark.parametrize("a3", [0.25, 0.4, -0.1])
     def test_order4_relations(self, a3):
-        rel = recover_relations_order4(a3)
+        rel = recover_relations({**reference_coefficients().a, (3,): a3}, 4)
         assert rel[(2, 2)] == pytest.approx(1.5 * a3 - 0.375, abs=1e-8)
         assert rel[(4,)] == pytest.approx(0.25 - 1.5 * a3, abs=1e-8)
 
     def test_order6_relations_at_published_inputs(self):
-        rel = recover_relations_order6(0.25, 1 / 16, I_REF)
+        rel = recover_relations(reference_coefficients().a, 6)
         assert rel[(2, 2, 2)] == pytest.approx(1.5 * I_REF - 1 / 16, abs=1e-8)
         assert rel[(3, 3)] == pytest.approx(1 / 32 - I_REF, abs=1e-8)
         assert rel[(2, 4)] == pytest.approx(1 / 32 - 1.5 * I_REF, abs=1e-8)
@@ -363,27 +373,152 @@ class TestRelationRecovery:
 
         monkeypatch.setattr(dist_mod, "_probe_series", spy_series)
         monkeypatch.setattr(dist_mod, "_series_residual", spy_residual)
-        recover_relations_order4(0.25)
-        recover_relations_order6(0.25, 1 / 16, I_REF)
+        recover_relations(reference_coefficients().a, 4)
+        recover_relations(reference_coefficients().a, 6)
         monkeypatch.undo()
         probes = len(dist_mod._PROBES)
         assert len(made) == 2 * probes
         assert len(calls) == probes * (3 + 5)  # a zero map plus one bump per unknown
         for (p, alpha, order), coeff_map, res in calls:
-            assert np.array_equal(res, dist_mod._three_value_residual(p, alpha, coeff_map, order))
+            coeffs = ExpansionCoefficients(d=2, order=order, a=coeff_map, err={})
+            assert np.array_equal(res, duality_residual_series(DualityProbe(p, alpha, order), coeffs))
 
     # The fits as the one-map-at-a-time path gave them, before the moment
     # series were shared across coefficient maps.
     @pytest.mark.parametrize("args, expected", [
-        ((0.25,), {(4,): "-0x1.0000000000000p-3", (2, 2): "0x1.4e916d82b798bp-52"}),
-        ((0.4,), {(4,): "-0x1.6666666666668p-2", (2, 2): "0x1.cccccccccccfep-3"}),
-        ((0.25, 1 / 16, I_REF), {
+        ((4, 0.25), {(4,): "-0x1.0000000000000p-3", (2, 2): "0x1.4e916d82b798bp-52"}),
+        ((4, 0.4), {(4,): "-0x1.6666666666668p-2", (2, 2): "0x1.cccccccccccfep-3"}),
+        ((6, 0.25), {
             (6,): "-0x1.0000000000097p-5", (2, 4): "-0x1.23a29c779a53cp-4",
             (3, 3): "-0x1.2f837b4a230f0p-5", (2, 2, 2): "0x1.474538ef349c2p-5"}),
     ])
     def test_fitted_values_unchanged(self, args, expected):
-        recover = recover_relations_order4 if len(args) == 1 else recover_relations_order6
-        assert recover(*args) == {sig: float.fromhex(h) for sig, h in expected.items()}
+        order, a3 = args
+        rel = recover_relations({**reference_coefficients().a, (3,): a3}, order)
+        assert rel == {sig: float.fromhex(h) for sig, h in expected.items()}
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_odd_order_refused(self, order):
+        with pytest.raises(ValueError, match="only even orders"):
+            recover_relations(reference_coefficients().a, order)
+
+    @pytest.mark.parametrize("order", [0, 4, 8])
+    def test_map_without_unknowns_refused(self, order):
+        coeff_map = {sig: c for sig, c in reference_coefficients().a.items() if sum(sig) != 4}
+        with pytest.raises(ValueError, match=f"no signature of total order {order}"):
+            recover_relations(coeff_map, order)
+
+    @pytest.mark.parametrize("order, a3, missing", [(6, 0.25, (3, 3)), (4, 0.4, (2, 2))])
+    def test_incomplete_unknown_set_refused(self, order, a3, missing):
+        # without the missing signature no values make the eps^order residual vanish
+        coeff_map = {**reference_coefficients().a, (3,): a3}
+        del coeff_map[missing]
+        with pytest.raises(ValueError, match="satisfy duality"):
+            recover_relations(coeff_map, order)
+
+
+class RationalSeries:
+    """Truncated power series in eps with Fraction coefficients: the ring of
+    `PowerSeries`, in exact arithmetic."""
+
+    def __init__(self, coeffs):
+        self.c = [Fraction(x) for x in coeffs]
+
+    @classmethod
+    def constant(cls, x, order):
+        return cls([x] + [0] * order)
+
+    def __add__(self, other):
+        if not isinstance(other, RationalSeries):
+            other = RationalSeries.constant(other, len(self.c) - 1)
+        return RationalSeries(a + b for a, b in zip(self.c, other.c))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        if not isinstance(other, RationalSeries):
+            return RationalSeries(a * other for a in self.c)
+        return RationalSeries(
+            sum(self.c[i] * other.c[k - i] for i in range(k + 1)) for k in range(len(self.c))
+        )
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out = RationalSeries.constant(1, len(self.c) - 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def reciprocal(self):
+        out = [1 / self.c[0]]
+        for n in range(1, len(self.c)):
+            out.append(-sum(self.c[i] * out[n - i] for i in range(1, n + 1)) / self.c[0])
+        return RationalSeries(out)
+
+
+def exact_residual(coeff_map, p, alpha, order):
+    """eps-coefficients of sigma_e({sigma}) * sigma_e({1/sigma}) - 1 on the
+    three-value family 1 - eps, 1 - alpha*eps, 1 (weights p, p, 1 - 2p)."""
+    one = RationalSeries.constant(1, order)
+    eps = RationalSeries([0, 1] + [0] * (order - 1))
+    vals = [one - eps, one - eps * alpha, one]
+    probs = [p, p, 1 - 2 * p]
+
+    def sigma_e(values):
+        mean = sum((v * q for v, q in zip(values, probs)), RationalSeries.constant(0, order))
+        inv_mean = mean.reciprocal()
+        us = [v * inv_mean - 1 for v in values]
+        mom = {}
+        for n in range(2, 7):
+            mom[n] = sum((u ** n * q for u, q in zip(us, probs)), RationalSeries.constant(0, order))
+        return mean * moment_sum(coeff_map, mom.__getitem__, one)
+
+    return (sigma_e(vals) * sigma_e([v.reciprocal() for v in vals]) - 1).c
+
+
+def rational_map(a3, I):
+    """The 2D closed form: the order-4 relations at a3, and the order-6 ones
+    at I, which hold for a3 = 1/4 and a5 = 1/16."""
+    return {(2,): Fraction(-1, 2), (3,): a3, (4,): Fraction(1, 4) - 3 * a3 / 2,
+            (2, 2): 3 * a3 / 2 - Fraction(3, 8), (5,): Fraction(1, 16), (2, 3): I,
+            (6,): Fraction(-1, 32), (2, 4): Fraction(1, 32) - 3 * I / 2,
+            (3, 3): Fraction(1, 32) - I, (2, 2, 2): 3 * I / 2 - Fraction(1, 16)}
+
+
+ALPHAS = [Fraction(2), Fraction(-1), Fraction(3), Fraction(10**3), Fraction(10**10)]
+
+
+class TestExactDuality:
+    """The relations hold exactly in rationals, not only to the float gate."""
+
+    @pytest.mark.parametrize("p", [Fraction(3, 10), Fraction(1, 4)])
+    @pytest.mark.parametrize("a3", [Fraction(1, 4), Fraction(2, 5)])
+    def test_order4_closed_form_annihilates_eps2_and_eps4(self, a3, p):
+        for alpha in ALPHAS:
+            res = exact_residual(rational_map(a3, Fraction(683, 10000)), p, alpha, 4)
+            assert res[2] == res[4] == 0
+
+    @pytest.mark.parametrize("p", [Fraction(3, 10), Fraction(1, 4)])
+    @pytest.mark.parametrize("I", [Fraction(683, 10000), Fraction(-2, 7)])
+    def test_order6_closed_form_annihilates_even_orders(self, I, p):
+        for alpha in ALPHAS:
+            res = exact_residual(rational_map(Fraction(1, 4), I), p, alpha, 6)
+            assert res[2] == res[4] == res[6] == 0
+
+    def test_float_path_refuses_the_large_alphas(self):
+        for alpha in ALPHAS[3:]:
+            with pytest.raises(ValueError, match="lost to rounding"):
+                duality_residual_series(DualityProbe(0.3, float(alpha)), reference_coefficients())
+
+    def test_perturbed_a33_breaks_eps6(self):
+        a = rational_map(Fraction(1, 4), Fraction(683, 10000))
+        a[(3, 3)] += Fraction(1, 10**9)
+        res = exact_residual(a, Fraction(3, 10), Fraction(2), 6)
+        assert res[2] == res[4] == 0 and res[6] != 0
 
 
 class TestFileFormat:

@@ -234,6 +234,13 @@ class TestAccuracy:
     def test_probe_defect_small(self, table2):
         assert 0 <= table2.quad_defect < 1e-6
 
+    @pytest.mark.parametrize("d, N", [(2, 8), (2, 64), (3, 16)])
+    def test_radius_one_builds_with_the_radius_two_defect(self, d, N):
+        # the probe reads its own radius-2 boxes, not the table's sites
+        one, two = build_kernel_table(d, N, 1), build_kernel_table(d, N, 2)
+        assert one.R == 1
+        assert one.quad_defect == two.quad_defect > 0
+
     def test_direct_quadrature_matches_fft(self, table2_small):
         z = (2, 1)
         direct = direct_quadrature(2, table2_small.N, z, 1, 1)
