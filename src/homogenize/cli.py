@@ -237,6 +237,7 @@ def cmd_oracle(args) -> dict:
         "stderr": est.stderr,
         "max_error": est.max_error,
         "max_rel_error": est.max_rel_error,
+        "cg_iterations": dict(zip(("min", "median", "max"), est.cg_iterations)),
     }
 
 

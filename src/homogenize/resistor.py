@@ -8,9 +8,11 @@ Green's operator of Moulinec-Suquet FFT homogenization), so the iteration
 count depends on the contrast and not on L.  One slice-based periodic
 stencil applies the weighted Laplacian, both in the CG product and for the
 true residual.  Each solve allocates its vectors and complex spectrum once
-and reuses them in every iteration, and the preconditioner's symbol is
-cached per (d, L).  The torus-plus-mean-field formulation avoids the
-boundary layers of plate-electrode setups.
+and reuses them in every iteration.  It also makes, once, the stencil's
+slice views of its fixed buffers and the flat views its dot products read,
+so a stencil product or dot product makes no view.  The preconditioner's
+symbol is cached per (d, L).  The torus-plus-mean-field formulation avoids
+the boundary layers of plate-electrode setups.
 
 The per-sample estimate is the energy sigma(phi) = (1/N) sum_b sigma_b
 (e + grad phi)_b^2 over the N = L^d sites, which is exact for a uniform
@@ -30,7 +32,11 @@ mean added back, so no coefficient is fitted and the estimate stays
 unbiased.  The raw per-sample estimates are kept as they are.
 
 Sampling uses the counter-based Philox generator keyed by (seed, sample
-index), so results are independent of evaluation order.
+index), so results are independent of evaluation order.  A bond takes the
+atom whose index is the number of cumulative-probability boundaries at or
+below its uniform draw: k - 1 vectorized comparisons for a k-atom law,
+exactly searchsorted(cum, u, side="right"), and faster than it up to about
+25 atoms.
 """
 
 from __future__ import annotations
@@ -88,6 +94,7 @@ class SigmaEstimate:
     skipped: int = 0
     max_error: float = 0.0  # largest per-sample certificate (CorrectorSolution.error)
     max_rel_error: float = 0.0  # largest certificate over its own estimate
+    cg_iterations: tuple[int, float, int] = (0, 0.0, 0)  # min, median, max over the solves
 
 
 def _require_torus(d: int, L: int) -> None:
@@ -123,42 +130,78 @@ def sample_network(
         raise ValueError("seed and sample index must fit in uint64")
     key = np.array([seed, sample_index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    cum = np.cumsum(dist.probs())
-    cum[-1] = 1.0  # guard the top edge against rounding
+    bounds = np.cumsum(dist.probs())[:-1]  # the top edge 1 lies above every draw
     values = dist.values()
     cond = np.empty((d, L**d))
     # one axis at a time, the same stream as a single (d, L^d) draw, so the
     # draws and indices of only one row are held next to the conductances
+    u, index = np.empty(L**d), np.empty(L**d, dtype=np.intp)
     for row in cond:
-        np.take(values, np.searchsorted(cum, gen.random(L**d), side="right"), out=row)
+        _atom_index(bounds, gen.random(out=u), index)
+        # every index is in range; mode="raise" would write through a row-sized buffer
+        np.take(values, index, out=row, mode="clip")
     return TorusNetwork(d=d, L=L, conductances=cond)
 
 
+def _atom_index(bounds: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """out = the number of cumulative-probability bounds at or below each
+    draw u in [0, 1), the index of its atom.
+
+    One comparison per bound, so for bounds = cum[:-1] this is exactly
+    searchsorted(cum, u, side="right") with cum[-1] = 1."""
+    if len(bounds) == 0:
+        out.fill(0)
+        return
+    np.greater_equal(u, bounds[0], out=out)
+    for bound in bounds[1:]:
+        out += u >= bound
+
+
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """<x, y> of two flat vectors."""
     # einsum reduces in its own loop; a BLAS dot would start threads on long vectors
-    return float(np.einsum("i,i->", x.ravel(), y.ravel()))
+    return float(np.einsum("i,i->", x, y))
 
 
-def _forward_diff(phi: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """out = phi(x + e_axis) - phi(x) on the torus; returns out."""
-    f, o = phi.swapaxes(0, axis), out.swapaxes(0, axis)
-    np.subtract(f[1:], f[:-1], out=o[:-1])
-    np.subtract(f[:1], f[-1:], out=o[-1:])
+def _diff_steps(src: np.ndarray, axis: int, out: np.ndarray) -> list:
+    """The (ufunc, a, b, out) steps that set out = src(x + e_axis) - src(x)
+    on the torus, as slice views of src and out."""
+    f, o = src.swapaxes(0, axis), out.swapaxes(0, axis)
+    return [(np.subtract, f[1:], f[:-1], o[:-1]), (np.subtract, f[:1], f[-1:], o[-1:])]
+
+
+def _run(steps: list) -> None:
+    for ufunc, a, b, out in steps:
+        ufunc(a, b, out)
+
+
+def _forward_diff(src: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """out = src(x + e_axis) - src(x) on the torus; returns out."""
+    _run(_diff_steps(src, axis, out))
     return out
 
 
-def _stencil(sig: np.ndarray, phi: np.ndarray, out: np.ndarray, flux: np.ndarray) -> None:
-    """out = weighted graph Laplacian of the (d, L, ..., L) bond conductances
-    applied to phi: sum over axes a of flux_a(x - e_a) - flux_a(x), with
-    flux_a = sig_a * (phi(x + e_a) - phi(x)) held in the scratch array flux."""
-    out.fill(0.0)
+def _laplacian(sig: np.ndarray, src: np.ndarray, out: np.ndarray, flux: np.ndarray):
+    """The product out = A src for the weighted graph Laplacian A of the
+    (d, L, ..., L) bond conductances, as a callable of no arguments.
+
+    A src is the sum over axes a of flux_a(x - e_a) - flux_a(x), with
+    flux_a = sig_a * (src(x + e_a) - src(x)) held in the scratch array flux.
+    The slice views of the fixed buffers are made here, once, so a product
+    runs only ufuncs.  The first axis writes out, and each later one adds
+    and subtracts in place, in the order of out = 0; out += flux_a(x - e_a);
+    out -= flux_a(x) over the axes."""
+    steps = []
     for a in range(sig.shape[0]):
-        _forward_diff(phi, a, flux)
-        flux *= sig[a]
+        steps += _diff_steps(src, a, flux)
+        steps.append((np.multiply, flux, sig[a], flux))
         o, f = out.swapaxes(0, a), flux.swapaxes(0, a)
-        o[1:] += f[:-1]
-        o[:1] += f[-1:]
-        out -= flux
+        if a == 0:
+            steps += [(np.subtract, f[:-1], f[1:], o[1:]), (np.subtract, f[-1:], f[:1], o[:1])]
+        else:
+            steps += [(np.add, o[1:], f[:-1], o[1:]), (np.add, o[:1], f[-1:], o[:1]),
+                      (np.subtract, out, flux, out)]
+    return lambda: _run(steps)
 
 
 def _require_tol(tol: float, name: str = "tol") -> None:
@@ -235,24 +278,28 @@ def solve_corrector(
     s_min = float(sig.min())
     rhs = s - np.roll(s, 1, axis=axis)  # sigma_dir(x) - sigma_dir(x - e_dir)
     symbol = _inverse_symbol(d, L)
-    rhs_norm = np.sqrt(_dot(rhs, rhs))
-    # the loop works in these buffers and allocates no vector of its own
+    # the loop works in these buffers and allocates no vector of its own;
+    # the dot products read their flat views, and each stencil product its
+    # slice views, all made here once
     phi, p, q, z, scratch = (np.zeros(shape) for _ in range(5))
+    r = rhs.copy()
+    phi_, p_, q_, z_, r_ = (v.ravel() for v in (phi, p, q, z, r))
     spec = np.empty(symbol.shape, dtype=complex)
+    apply_p, apply_phi = (_laplacian(sig, v, q, scratch) for v in (p, phi))
+    rhs_norm = np.sqrt(_dot(r_, r_))
 
     def certify() -> tuple[float, float]:
         """Energy estimate and its error bound at phi; leaves the true
         residual in q and its preconditioned form in z."""
-        _stencil(sig, phi, q, scratch)
+        apply_phi()
         np.subtract(rhs, q, out=q)
         _precondition(q, symbol, spec, z)
         flux = _forward_diff(phi, axis, scratch)
         flux += 1.0
         flux *= s
-        bound = max(_dot(q, z), 0.0) / (s_min * n) if s_min > 0 else math.inf
-        return float(np.mean(flux)) - _dot(q, phi) / n, bound
+        bound = max(_dot(q_, z_), 0.0) / (s_min * n) if s_min > 0 else math.inf
+        return float(np.mean(flux)) - _dot(q_, phi_) / n, bound
 
-    r = rhs.copy()
     r_norm, rho_prev, iterations = rhs_norm, 1.0, 0
     energy, screen = float(np.mean(s)), tol * s_min * n  # E_0 = sigma(0)
     born, certified = 0.0, False
@@ -260,7 +307,7 @@ def solve_corrector(
         _precondition(r, symbol, spec, z)
         if iterations == 0:
             born = float(np.mean(np.multiply(s, _forward_diff(z, axis, scratch), out=scratch)))
-        rho = _dot(r, z)
+        rho = _dot(r_, z_)
         if rho == 0.0:  # breakdown: r underflowed or the preconditioner lost it
             break
         if stop == "estimate" and rho <= screen * energy:
@@ -270,22 +317,22 @@ def solve_corrector(
                 break
             np.copyto(r, q)  # and restart from it
             p.fill(0.0)  # along z: the old direction is not conjugate to it
-            rho, r_norm = _dot(r, z), np.sqrt(_dot(r, r))
+            rho, r_norm = _dot(r_, z_), np.sqrt(_dot(r_, r_))
         p *= rho / rho_prev
         p += z
-        _stencil(sig, p, q, scratch)
-        pq = _dot(p, q)
+        apply_p()
+        pq = _dot(p_, q_)
         if pq == 0.0:  # breakdown: p is constant
             break
         alpha = rho / pq
         phi += np.multiply(p, alpha, out=scratch)
         r -= np.multiply(q, alpha, out=scratch)
         energy -= alpha * rho / n
-        r_norm, rho_prev, iterations = np.sqrt(_dot(r, r)), rho, iterations + 1
+        r_norm, rho_prev, iterations = np.sqrt(_dot(r_, r_)), rho, iterations + 1
 
     if not certified:
         energy, error = certify()
-    residual = float(np.sqrt(_dot(q, q)) / rhs_norm) if rhs_norm > 0 else 0.0
+    residual = float(np.sqrt(_dot(q_, q_)) / rhs_norm) if rhs_norm > 0 else 0.0
     if not (certified or r_norm <= tol * rhs_norm):
         raise SolverError(
             f"conjugate gradient failed to reach rtol={tol} "
@@ -325,7 +372,8 @@ def estimate_sigma_e(
     estimate (solve_corrector's stop="estimate"); `max_error` is the
     largest of those certificates and `max_rel_error` the largest ratio of
     a certificate to its estimate, which a solve that met the stop rule
-    keeps at most `tol`.
+    keeps at most `tol`.  `cg_iterations` holds the least, median and
+    largest CG iteration count over the solved samples.
 
     Deterministic for a given seed.  Samples whose solve fails are skipped
     and counted in `skipped`; the estimate is over the remaining ones.
@@ -342,7 +390,10 @@ def estimate_sigma_e(
               if one is not None]
     if len(solved) < 2:
         raise SolverError(f"only {len(solved)} of {samples} samples solved")
-    raw, errors, s_means, borns = (np.array(column) for column in zip(*solved))
+    *columns, iterations = zip(*solved)
+    raw, errors, s_means, borns = (np.array(column) for column in columns)
+    # the median by hand: np.median's partition kernels add ~0.4 MB of resident code
+    its, n = sorted(iterations), len(iterations)
     ys = raw - (s_means - m + borns / m) + mean_x
     return SigmaEstimate(
         mean=float(ys.mean()),
@@ -352,18 +403,20 @@ def estimate_sigma_e(
         skipped=samples - len(ys),
         max_error=float(errors.max()),
         max_rel_error=float((errors / raw).max()),
+        cg_iterations=(its[0], (its[(n - 1) // 2] + its[n // 2]) / 2, its[-1]),
     )
 
 
 def _solve_sample(
     d: int, L: int, dist: DistributionSpec, seed: int, index: int, tol: float
-) -> tuple[float, float, float, float] | None:
-    """(estimate, error, mean of the direction-1 bonds, born) of one sample,
-    None if its solve fails.  The network and the solution are released on
-    return, before the next sample is drawn."""
+) -> tuple[float, float, float, float, int] | None:
+    """(estimate, error, mean of the direction-1 bonds, born, CG iterations)
+    of one sample, None if its solve fails.  The network and the solution
+    are released on return, before the next sample is drawn."""
     net = sample_network(d, L, dist, seed, sample_index=index)
     try:
         sol = solve_corrector(net, tol=tol, stop="estimate")
     except SolverError:
         return None
-    return sol.estimate, sol.error, float(np.mean(net.conductances[0])), sol.born
+    return (sol.estimate, sol.error, float(np.mean(net.conductances[0])), sol.born,
+            sol.iterations)

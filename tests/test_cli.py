@@ -173,6 +173,9 @@ class TestCommands:
             "--seed", "3", "--dist", kd_file, "--per-sample-csv", str(csv_path),
         )
         assert data["samples"] == 4 and data["skipped"] == 0
+        its = data["cg_iterations"]
+        assert list(its) == ["min", "median", "max"]
+        assert 0 < its["min"] <= its["median"] <= its["max"]
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "sample,estimate"
         assert len(lines) == 5

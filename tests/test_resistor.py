@@ -91,6 +91,32 @@ class TestSampling:
         frac = np.mean(net.conductances == 0.6)
         assert abs(frac - 0.5) <= 3.0 / np.sqrt(2 * 64**2)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 16, 64])
+    def test_boundary_count_is_searchsorted(self, k):
+        # u on every cumulative-probability boundary and one ulp below it,
+        # 1 included, where the draw can come no closer than one ulp
+        rng = np.random.default_rng(k)
+        law = DistributionSpec(atoms=tuple(zip(rng.uniform(0.1, 10.0, k),
+                                               rng.dirichlet(np.ones(k)))))
+        cum = np.cumsum(law.probs())
+        cum[-1] = 1.0
+        u = np.concatenate([[0.0], cum[:-1], np.nextafter(cum, 0.0), rng.random(1000)])
+        index = np.full(len(u), -1, dtype=np.intp)
+        resistor_mod._atom_index(cum[:-1], u, index)
+        assert np.array_equal(index, np.searchsorted(cum, u, side="right"))
+        assert index.max() <= k - 1
+
+    def test_three_atom_draw_matches_searchsorted_on_the_philox_stream(self):
+        law = DistributionSpec(atoms=((0.5, 0.2), (1.0, 0.3), (3.0, 0.5)))
+        d, L, seed, index = 3, 6, 12345, 7
+        gen = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+        cum = np.cumsum(law.probs())
+        cum[-1] = 1.0
+        expected = law.values()[np.searchsorted(cum, gen.random((d, L**d)), side="right")]
+        net = sample_network(d, L, law, seed, sample_index=index)
+        assert np.array_equal(net.conductances, expected)
+        assert set(np.unique(expected)) == {0.5, 1.0, 3.0}
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_network(2, 3, constant(1.0), seed=0)
@@ -240,20 +266,26 @@ class TestCertificate:
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2])
     def test_failed_certificate_restarts_along_the_true_residual(self, delta, monkeypatch):
-        # a stencil whose first three products are off by (1 + delta) makes the
-        # recursive residual drift from the true one, so the screen fires before
-        # the estimate is certified and CG must restart from the true residual
+        # stencil operators whose first three products (over all operators of
+        # the solve) are off by (1 + delta) make the recursive residual drift
+        # from the true one, so the screen fires before the estimate is
+        # certified and CG must restart from the true residual
         net = sample_network(2, 16, two_component(0.6, 1.4), 3)
         converged = solve_corrector(net, tol=1e-13, stop="estimate")
-        stencil, calls = resistor_mod._stencil, []
+        laplacian, calls = resistor_mod._laplacian, []
 
-        def perturbed(sig, phi, out, flux):
-            stencil(sig, phi, out, flux)
-            calls.append(None)
-            if len(calls) <= 3:
-                out *= 1.0 + delta
+        def perturbed(sig, src, out, flux):
+            product = laplacian(sig, src, out, flux)
 
-        monkeypatch.setattr(resistor_mod, "_stencil", perturbed)
+            def perturbed_product():
+                product()
+                calls.append(None)
+                if len(calls) <= 3:
+                    np.multiply(out, 1.0 + delta, out=out)
+
+            return perturbed_product
+
+        monkeypatch.setattr(resistor_mod, "_laplacian", perturbed)
         sol = solve_corrector(net, tol=1e-10, stop="estimate")
         assert len(calls) - sol.iterations >= 2  # certified after a failed attempt
         assert sol.iterations <= 15
@@ -275,7 +307,14 @@ class TestStencil:
         sig = rng.uniform(0.1, 10.0, (d,) + (L,) * d)
         phi = rng.standard_normal((L,) * d)
         out, flux = np.full_like(phi, np.nan), np.full_like(phi, np.nan)
-        resistor_mod._stencil(sig, phi, out, flux)
+        product = resistor_mod._laplacian(sig, phi, out, flux)
+        expected = _roll_laplacian(sig, phi)
+        product()
+        assert np.array_equal(out, expected)
+        # the operator reads its source buffer anew on every product
+        phi[...] = rng.standard_normal(phi.shape)
+        out.fill(np.nan)
+        product()
         assert np.array_equal(out, _roll_laplacian(sig, phi))
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -361,6 +400,20 @@ class TestEstimator:
         assert est.max_rel_error == max(sol.error / sol.estimate for sol in sols)
         assert est.max_error == max(sol.error for sol in sols)
         assert 0.0 < est.max_rel_error <= 1e-6
+
+    def test_cg_iterations_are_the_per_sample_counts(self):
+        # at contrast 100 the six counts spread (26 to 38), so min < median < max
+        law = two_component(0.1, 10.0)
+        est = estimate_sigma_e(2, 8, law, samples=6, seed=8)
+        counts = [solve_corrector(sample_network(2, 8, law, 8, i), stop="estimate").iterations
+                  for i in range(6)]
+        assert est.cg_iterations == (min(counts), float(np.median(counts)), max(counts))
+        assert est.cg_iterations[0] < est.cg_iterations[1] < est.cg_iterations[2]
+
+    def test_cg_iterations_of_a_low_contrast_and_a_constant_law(self):
+        est = estimate_sigma_e(2, 16, two_component(0.6, 1.4), samples=5, seed=8)
+        assert est.cg_iterations[0] == est.cg_iterations[2] > 0
+        assert estimate_sigma_e(2, 8, constant(1.0), samples=3, seed=0).cg_iterations == (0, 0, 0)
 
     def test_per_sample_kept_on_request(self):
         law = two_component(0.6, 1.4)
