@@ -41,7 +41,7 @@ from .enumerator import enumerate_order
 from .errors import CapacityError, SolverError
 from .expansion import coefficients, max_order, sigma_e_series
 from .kernel import channel_array, gamma, get_kernel_table, lattice_power_sum
-from .resistor import _require_tol, estimate_sigma_e
+from .resistor import estimate_sigma_e, require_tol
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,7 +210,7 @@ def cmd_duality_check(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
-    _require_tol(args.tol, "--tol")
+    require_tol(args.tol, "--tol")
     dist = _load_dist(args)
     est = estimate_sigma_e(
         args.dim,

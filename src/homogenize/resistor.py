@@ -26,10 +26,10 @@ times the estimate: for the 0.6/1.4 law that is 7 CG iterations where a
 1e-10 relative residual takes 15.
 
 The reported mean and standard error are those of a control-variate
-estimate: each sample's second-order perturbative estimate, which the first
-CG iteration yields at no extra cost, is subtracted and its exact torus
-mean added back, so no coefficient is fitted and the estimate stays
-unbiased.  The raw per-sample estimates are kept as they are.
+estimate: each sample's second-order perturbative estimate, whose Born
+term -<b, Delta^+ b>/N (b the right-hand side) is CG's first scalar, is
+subtracted and its exact torus mean added back, so no coefficient is fitted
+and the estimate stays unbiased.  The raw per-sample estimates are kept.
 
 Sampling uses the counter-based Philox generator keyed by (seed, sample
 index), so results are independent of evaluation order.  A bond takes the
@@ -75,7 +75,7 @@ class CorrectorSolution:
     estimate: float        # per-sample effective conductivity
     residual: float        # final relative CG residual
     iterations: int
-    born: float            # mean(s * grad z0), z0 the first preconditioned residual
+    born: float            # -<b, Delta^+ b> / N, b the right-hand side
     error: float           # bound on estimate - exact, >= 0
 
 
@@ -175,12 +175,6 @@ def _run(steps: list) -> None:
         ufunc(a, b, out)
 
 
-def _forward_diff(src: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """out = src(x + e_axis) - src(x) on the torus; returns out."""
-    _run(_diff_steps(src, axis, out))
-    return out
-
-
 def _laplacian(sig: np.ndarray, src: np.ndarray, out: np.ndarray, flux: np.ndarray):
     """The product out = A src for the weighted graph Laplacian A of the
     (d, L, ..., L) bond conductances, as a callable of no arguments.
@@ -204,7 +198,7 @@ def _laplacian(sig: np.ndarray, src: np.ndarray, out: np.ndarray, flux: np.ndarr
     return lambda: _run(steps)
 
 
-def _require_tol(tol: float, name: str = "tol") -> None:
+def require_tol(tol: float, name: str = "tol") -> None:
     """1e-13 <= tol < 1, NaN refused: below 1e-13 CG runs past rounding."""
     if not 1e-13 <= tol < 1.0:
         raise ValueError(f"{name} must be a finite number in [1e-13, 1), got {tol}")
@@ -260,14 +254,14 @@ def solve_corrector(
     rho = <r, z> and the energy recursion E -= alpha rho / N, then confirms
     on the true residual; a failed confirmation restarts CG from it.
 
-    `born` is mean(s * grad z0) over the direction bonds s, where z0 is the
-    first preconditioned residual.  z0 = m * phi_1 for the first-order
-    (Born) corrector phi_1 of a law with mean m, so `born` / m is the
-    second-order term of the estimate at no extra FFT; it is 0 when the
-    right-hand side vanishes.
+    `born` = -<b, Delta^+ b> / N, CG's first rho over -N, for the
+    right-hand side b.  Summed by parts on the torus it is mean(s * grad z0)
+    over the direction bonds s, z0 = Delta^+ b = m * phi_1 for the
+    first-order (Born) corrector phi_1 of a law with mean m, so `born` / m
+    is the second-order term of the estimate.  It is 0 when b vanishes.
     """
     d, L = network.d, network.L
-    _require_tol(tol)
+    require_tol(tol)
     if not 1 <= direction <= d:
         raise ValueError(f"direction must lie in 1..{d}")
     if stop not in ("residual", "estimate"):
@@ -286,6 +280,7 @@ def solve_corrector(
     phi_, p_, q_, z_, r_ = (v.ravel() for v in (phi, p, q, z, r))
     spec = np.empty(symbol.shape, dtype=complex)
     apply_p, apply_phi = (_laplacian(sig, v, q, scratch) for v in (p, phi))
+    grad_phi = _diff_steps(phi, axis, scratch)
     rhs_norm = np.sqrt(_dot(r_, r_))
 
     def certify() -> tuple[float, float]:
@@ -294,7 +289,8 @@ def solve_corrector(
         apply_phi()
         np.subtract(rhs, q, out=q)
         _precondition(q, symbol, spec, z)
-        flux = _forward_diff(phi, axis, scratch)
+        _run(grad_phi)
+        flux = scratch  # s (1 + grad phi), the direction bonds' flux
         flux += 1.0
         flux *= s
         bound = max(_dot(q_, z_), 0.0) / (s_min * n) if s_min > 0 else math.inf
@@ -305,9 +301,9 @@ def solve_corrector(
     born, certified = 0.0, False
     while r_norm > tol * rhs_norm and iterations < 100 * L * d:
         _precondition(r, symbol, spec, z)
-        if iterations == 0:
-            born = float(np.mean(np.multiply(s, _forward_diff(z, axis, scratch), out=scratch)))
         rho = _dot(r_, z_)
+        if iterations == 0:
+            born = -rho / n
         if rho == 0.0:  # breakdown: r underflowed or the preconditioner lost it
             break
         if stop == "estimate" and rho <= screen * energy:
@@ -361,7 +357,7 @@ def estimate_sigma_e(
 
     Each raw estimate sigma_i is corrected by its second-order perturbative
     estimate X_i = mean(s_i) - m + born_i / m (s_i the direction-1 bonds,
-    m the law mean), whose exact torus mean is
+    m the law mean, born_i = -<b_i, Delta^+ b_i> / N), whose exact torus mean is
     E[X] = -Var(c) (1 - L^-d) / (d m): the projection onto mean-zero fields
     has trace L^d - 1, split evenly over the d directions.  `mean` and
     `stderr` are taken over sigma_i - X_i + E[X], which has the same
@@ -377,8 +373,10 @@ def estimate_sigma_e(
 
     Deterministic for a given seed.  Samples whose solve fails are skipped
     and counted in `skipped`; the estimate is over the remaining ones.
-    The torus is checked as by `sample_network` before any work.
+    `tol` and the torus are checked, as by `solve_corrector` and
+    `sample_network`, before any network is drawn.
     """
+    require_tol(tol)
     _require_torus(d, L)
     if samples < 2:
         raise ValueError("need at least 2 samples")

@@ -303,6 +303,16 @@ class TestExitCodes:
         assert failed == (["mc_kd_mean", "mc_selfdual_mean"] if skipped else [])
         assert checks["mc_kd_mean"]["skipped"] == checks["mc_selfdual_mean"]["skipped"] == skipped
 
+    def test_understated_remainder_bound_fails_reproduce(self, monkeypatch, tmp_path):
+        # a zero bound is exceeded by every nonzero step between orders
+        monkeypatch.setattr(homogenize.expansion, "remainder_bound", lambda *args: 0.0)
+        out = tmp_path / "report.json"
+        assert cli.main(["reproduce", "--output", str(out)]) == 3
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert sorted(name for name, c in checks.items() if not c["pass"]) == [
+            "remainder_honesty_violations"]
+        assert checks["remainder_honesty_violations"]["value"] > 0
+
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e300"])
     def test_duality_alpha_without_finite_residual_is_2(self, capsys, alpha):
         assert cli.main(["duality-check", "--p", "0.3", f"--alpha={alpha}"]) == 2

@@ -58,6 +58,18 @@ def _roll_laplacian(sig, phi):
     return out
 
 
+def _unit_laplacian_solve(f):
+    """Delta^+ f for the unit-conductance torus Laplacian, zero mode
+    projected out, by a full complex FFT pair."""
+    d, L = f.ndim, f.shape[0]
+    k = np.meshgrid(*([2.0 * np.pi * np.arange(L) / L] * d), indexing="ij")
+    symbol = sum(2.0 - 2.0 * np.cos(ka) for ka in k)
+    symbol[(0,) * d] = 1.0
+    spectrum = np.fft.fftn(f)
+    spectrum[(0,) * d] = 0.0
+    return np.fft.ifftn(spectrum / symbol).real
+
+
 def _energy_tensor(net, tol=1e-13):
     """sigma_ab = mean over sites of sum_c s_c (delta_ac + grad_c phi_a)(delta_bc + grad_c phi_b),
     phi_a the corrector with its mean field along axis a."""
@@ -490,6 +502,19 @@ class TestEstimator:
             tracemalloc.stop()
         assert peak / (8 * L**d) <= d + 11
 
+    def test_tol_is_refused_before_any_network_is_drawn(self, monkeypatch):
+        draws = {"n": 0}
+        original = resistor_mod.sample_network
+
+        def counted(*args, **kwargs):
+            draws["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(resistor_mod, "sample_network", counted)
+        with pytest.raises(ValueError, match="tol"):
+            estimate_sigma_e(2, 8, two_component(0.6, 1.4), samples=3, seed=3, tol=0.0)
+        assert draws["n"] == 0
+
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             estimate_sigma_e(2, 8, constant(1.0), samples=1, seed=0)
@@ -527,13 +552,8 @@ class TestControlVariate:
         m = float(law.probs() @ law.values())
         u = net.conductances[direction - 1].reshape((L,) * d) / m - 1.0
         # phi_1 solves the unit-conductance torus Laplacian against the
-        # backward difference of u, here by a full complex FFT pair
-        k = np.meshgrid(*([2.0 * np.pi * np.arange(L) / L] * d), indexing="ij")
-        symbol = sum(2.0 - 2.0 * np.cos(ka) for ka in k)
-        symbol[(0,) * d] = 1.0
-        rhs = np.fft.fftn(u - np.roll(u, 1, axis=direction - 1))
-        rhs[(0,) * d] = 0.0
-        phi1 = np.fft.ifftn(rhs / symbol).real
+        # backward difference of u
+        phi1 = _unit_laplacian_solve(u - np.roll(u, 1, axis=direction - 1))
         grad = np.roll(phi1, -1, axis=direction - 1) - phi1
         born = solve_corrector(net, direction=direction).born
         assert born == pytest.approx(m * m * np.mean(u * grad), rel=1e-12)
@@ -547,6 +567,37 @@ class TestControlVariate:
             sol = solve_corrector(net)
             rest.append(sol.estimate - 1.0 - (np.mean(net.conductances[0]) - 1.0 + sol.born))
         assert 6.0 < rest[0] / rest[1] < 10.0
+
+    def test_third_order_term_from_the_first_cg_product(self):
+        # X3 = (<z0, A z0> - m rho0) / (m^2 N), z0 = Delta^+ b and rho0 = <b, z0>
+        # for the right-hand side b; <z0, A z0> is CG's first <p, q>, so the
+        # term needs no FFT pair beyond the first.  With it sigma - 1 - X - X3
+        # is O(eps^4): halving eps divides it by ~16 (X alone leaves ~8)
+        v = np.sign(sample_network(2, 16, two_component(0.5, 1.5), seed=3).conductances - 1.0)
+        m, n, rest = 1.0, 16**2, []
+        for eps in (0.01, 0.005):
+            net = resistor_mod.TorusNetwork(2, 16, m + eps * v)
+            sig = net.conductances.reshape(2, 16, 16)
+            b = sig[0] - np.roll(sig[0], 1, axis=0)
+            z0 = _unit_laplacian_solve(b)
+            x3 = (np.sum(z0 * _roll_laplacian(sig, z0)) - m * np.sum(b * z0)) / (m * m * n)
+            sol = solve_corrector(net)
+            x = np.mean(sig[0]) - m + sol.born / m
+            rest.append(sol.estimate - m - x - x3)
+        assert 12.0 < rest[0] / rest[1] < 20.0
+
+    @pytest.mark.parametrize("atoms", [(0.6, 1.4), (0.05, 20.0)])
+    @pytest.mark.parametrize("d, L", [(1, 32), (2, 16), (3, 8), (4, 4)])
+    def test_born_is_minus_the_first_cg_scalar_over_n(self, d, L, atoms):
+        # summed by parts on the torus, mean(s grad z0) = -<b, z0> / N for
+        # z0 = Delta^+ b, b the right-hand side: CG's first rho over -N
+        net = sample_network(d, L, two_component(*atoms), seed=43)
+        for direction in range(1, d + 1):
+            s = net.conductances[direction - 1].reshape((L,) * d)
+            b = s - np.roll(s, 1, axis=direction - 1)
+            rho0 = np.sum(b * _unit_laplacian_solve(b))
+            born = solve_corrector(net, direction=direction).born
+            assert born == pytest.approx(-rho0 / L**d, rel=1e-12)
 
     # The first two raw estimates of each `oracle` benchmark case
     # (bench/workloads.py, benchmark seed 0), each as a pair: as the
