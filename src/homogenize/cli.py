@@ -4,7 +4,8 @@ One subcommand per capability: kernel tables, dimension constants, series
 expansion, brute-force enumeration, Bruggeman root and comparison, duality
 checks, the Monte Carlo oracle, and `reproduce`, which reruns the headline
 numbers against their targets and tolerances and emits the pass/fail
-report the acceptance tests read.
+report the acceptance tests read.  Its kernel-identity and duality checks
+are the values `kernel` and `duality-check` print, from the same code.
 
 Every command writes JSON, to stdout or to `--output FILE`.  Exit codes:
 1 usage error, 2 invalid input, 3 numerical failure.  Kernel tables are
@@ -39,8 +40,8 @@ from .distributions import (
 )
 from .enumerator import enumerate_order
 from .errors import CapacityError, SolverError
-from .expansion import coefficients, max_order, sigma_e_series
-from .kernel import channel_array, gamma, get_kernel_table, lattice_power_sum
+from .expansion import ExpansionCoefficients, coefficients, max_order, sigma_e_series
+from .kernel import KernelTable, channel_array, gamma, get_kernel_table, lattice_power_sum
 from .resistor import estimate_sigma_e, require_tol
 
 
@@ -81,27 +82,22 @@ def cmd_constants(args) -> dict:
     }
 
 
-def cmd_kernel(args) -> dict:
-    table = get_kernel_table(args.dim, N=args.resolution, R=args.radius)
+def _kernel_report(table: KernelTable) -> dict:
+    """The identities `kernel` prints, and `reproduce` gates, for one table."""
     d = table.d
     row = [lattice_power_sum(table, 1, a, 2) for a in range(1, d + 1)]
-    row_value = sum(p.value for p in row)
-    row_tail = sum(p.tail for p in row)
-    norm = 0.0
-    for a in range(1, d + 1):
-        for b in range(1, d + 1):
-            p = lattice_power_sum(table, min(a, b), max(a, b), 2)
-            norm += p.value + p.tail
+    square = [lattice_power_sum(table, min(a, b), max(a, b), 2)
+              for a in range(1, d + 1) for b in range(1, d + 1)]
     odd = lattice_power_sum(table, 1, 1, 3, include_origin=False)
     out = {
         "d": d,
         "N": table.N,
         "R": table.R,
         "gamma11_origin": gamma(table, 1, 1, (0,) * d),
-        "row_square_sum": row_value,
-        "row_square_sum_tail": row_tail,
+        "row_square_sum": sum(p.value for p in row),
+        "row_square_sum_tail": sum(p.tail for p in row),
         "row_square_target": 1.0 / d,
-        "normalization_sum": norm,
+        "normalization_sum": sum(p.value + p.tail for p in square),
         "offorigin_cube_sum": odd.value + odd.tail,
         "quad_defect": table.quad_defect,
     }
@@ -111,6 +107,10 @@ def cmd_kernel(args) -> dict:
         folded[table.R, table.R] = 0.0  # the origin carries the trace
         out["antisymmetry_max"] = float(np.max(np.abs(folded)))
     return out
+
+
+def cmd_kernel(args) -> dict:
+    return _kernel_report(get_kernel_table(args.dim, N=args.resolution, R=args.radius))
 
 
 def _load_dist(args) -> DistributionSpec:
@@ -191,22 +191,26 @@ def cmd_compare(args) -> dict:
     }
 
 
-def cmd_duality_check(args) -> dict:
-    consts, _ = dimension_constants(2)
-    coeffs = coefficients(2, 6, consts)
-    probe = DualityProbe(p=args.p, alpha_ratio=args.alpha, order=args.order)
+def _duality_report(probe: DualityProbe, coeffs: ExpansionCoefficients) -> dict:
+    """The residuals `duality-check` prints, and `reproduce` gates, for one probe."""
     res = duality_residual_series(probe, coeffs)
-    even = {k: float(abs(res[k])) for k in range(2, args.order + 1, 2)}
+    even = {k: float(abs(res[k])) for k in range(2, probe.order + 1, 2)}
     determined = [k for k in even if k <= coeffs.order]
     return {
-        "p": args.p,
-        "alpha": args.alpha,
-        "order": args.order,
+        "p": probe.p,
+        "alpha": probe.alpha_ratio,
+        "order": probe.order,
         "residual_coefficients": [float(c) for c in res],
         "abs_even_residuals": {str(k): v for k, v in even.items()},
         "max_determined_residual": max(even[k] for k in determined),
         "informational_orders": [k for k in even if k > coeffs.order],
     }
+
+
+def cmd_duality_check(args) -> dict:
+    coeffs = coefficients(2, 6, dimension_constants(2)[0])
+    probe = DualityProbe(p=args.p, alpha_ratio=args.alpha, order=args.order)
+    return _duality_report(probe, coeffs)
 
 
 def cmd_oracle(args) -> dict:
@@ -284,20 +288,14 @@ def cmd_reproduce(args) -> dict:
     tables = {d: get_kernel_table(d) for d in (2, 3, 4, 5)}
     consts = {d: dimension_constants(table=tables[d])[0] for d in (2, 3, 4, 5)}
 
-    # kernel identities
-    _check(checks, "gamma11_origin_d2", gamma(tables[2], 1, 1, (0, 0)), -0.5, 1e-6)
-    _check(checks, "gamma11_origin_d3", gamma(tables[3], 1, 1, (0, 0, 0)), -1.0 / 3, 1e-6)
-    for d in (2, 3):
-        ps = [lattice_power_sum(tables[d], 1, a, 2) for a in range(1, d + 1)]
-        _check(
-            checks,
-            f"row_square_sum_d{d}",
-            sum(p.value + p.tail for p in ps),
-            1.0 / d,
-            1e-4,
-        )
-    odd = lattice_power_sum(tables[2], 1, 1, 3, include_origin=False)
-    _check(checks, "offorigin_cube_sum_d2", odd.value + odd.tail, 0.0, 1e-5)
+    # kernel identities, as `kernel` prints them
+    kernel = {d: _kernel_report(tables[d]) for d in (2, 3)}
+    for d, rep in kernel.items():
+        _check(checks, f"gamma11_origin_d{d}", rep["gamma11_origin"], -1.0 / d, 1e-6)
+    for d, rep in kernel.items():
+        _check(checks, f"row_square_sum_d{d}", rep["row_square_sum"] + rep["row_square_sum_tail"],
+               rep["row_square_target"], 1e-4)
+    _check(checks, "offorigin_cube_sum_d2", kernel[2]["offorigin_cube_sum"], 0.0, 1e-5)
 
     # published constants
     _check(checks, "H2", consts[2].H, 1.0, 1e-3)
@@ -340,15 +338,12 @@ def cmd_reproduce(args) -> dict:
                     tol,
                 )
 
-    # duality residual suite
+    # duality residual suite, as `duality-check` prints it
     coeffs2 = coefficients(2, 6, consts[2])
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(10):
-        p = float(rng.uniform(0.05, 0.45))
-        alpha = float(rng.uniform(-3.0, 3.0))
-        res = duality_residual_series(DualityProbe(p=p, alpha_ratio=alpha, order=6), coeffs2)
-        worst = max(worst, max(abs(res[2]), abs(res[4]), abs(res[6])))
+    probes = [DualityProbe(p=float(rng.uniform(0.05, 0.45)),
+                           alpha_ratio=float(rng.uniform(-3.0, 3.0))) for _ in range(10)]
+    worst = max(_duality_report(probe, coeffs2)["max_determined_residual"] for probe in probes)
     _check(checks, "duality_residual_max", worst, 0.0, DUALITY_GATE)
 
     for a3 in (0.25, 0.4):

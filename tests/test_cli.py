@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import homogenize
@@ -190,6 +191,25 @@ class TestCommands:
         args = ("oracle", "--dim", "2", "--L", "8", "--samples", "4", "--seed", "3",
                 "--dist", kd_file)
         assert run(capsys, *args) == run(capsys, *args)
+
+    def test_reproduce_checks_are_what_kernel_and_duality_check_print(self, capsys):
+        # bit for bit: the report and the commands that inspect it run one code path
+        checks = {c["name"]: c for c in run_json(capsys, "reproduce", "--seed", "7")["checks"]}
+        kernel = {d: run_json(capsys, "kernel", "--dim", str(d)) for d in (2, 3)}
+        for d, out in kernel.items():
+            assert checks[f"gamma11_origin_d{d}"]["value"] == out["gamma11_origin"]
+            row = checks[f"row_square_sum_d{d}"]
+            assert row["value"] == out["row_square_sum"] + out["row_square_sum_tail"]
+            assert row["target"] == out["row_square_target"]
+        assert checks["offorigin_cube_sum_d2"]["value"] == kernel[2]["offorigin_cube_sum"]
+        rng = np.random.default_rng(7)  # the ten probes `reproduce` draws
+        worst = []
+        for _ in range(10):
+            p, alpha = float(rng.uniform(0.05, 0.45)), float(rng.uniform(-3.0, 3.0))
+            out = run_json(capsys, "duality-check", f"--p={p!r}", f"--alpha={alpha!r}",
+                           "--order", "6")
+            worst.append(out["max_determined_residual"])
+        assert checks["duality_residual_max"]["value"] == max(worst)
 
     def test_calls_in_one_process_do_not_share_options(self, capsys, tmp_path):
         out = tmp_path / "constants.json"

@@ -237,6 +237,18 @@ class TestCorrector:
         assert failure.value.iterations == 100 * 8 * 2
         assert 1e-10 < failure.value.residual < 1.0
 
+    @pytest.mark.parametrize("stop", ["residual", "estimate"])
+    def test_zero_curvature_breakdown_raises_with_diagnostics(self, monkeypatch, stop):
+        # a stencil product that leaves A p = 0 makes <p, A p> = 0 on the
+        # first step: CG stops there instead of dividing rho by it
+        net = sample_network(2, 8, two_component(0.6, 1.4), seed=3)
+        monkeypatch.setattr(resistor_mod, "_laplacian",
+                            lambda sig, src, out, flux: lambda: out.fill(0.0))
+        with pytest.raises(SolverError) as failure:
+            solve_corrector(net, stop=stop)
+        assert failure.value.iterations == 0
+        assert failure.value.residual == 1.0
+
 
 #: d, L, law, seed: the five `oracle` benchmark cases (benchmark seed 0),
 #: then higher contrast in 2D and 3D, d = 1, d = 4 and an odd side.
