@@ -238,6 +238,9 @@ def test_criterion_06_monte_carlo_oracle(checks, rule_inputs):
 
     _criterion(6, "Monte Carlo oracle", names, checks, rule_inputs, detail)
     assert checks["mc_kd_stderr"]["value"] == checks["mc_kd_mean"]["stderr"]
+    # the certified solver bias of each mean stays under 1% of its gate
+    for name in ("mc_kd_mean", "mc_selfdual_mean"):
+        assert 0.0 < checks[name]["max_error"] <= 0.01 * checks[name]["tol"]
 
 
 def test_criterion_07_expansion_vs_oracle(checks, rule_inputs):

@@ -306,22 +306,31 @@ class TestExitCodes:
         assert cli.main(["bruggeman", "--dim", "2", "--dist", str(path)]) == 3
         assert "did not reach" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("skipped", [0, 1])
-    def test_skipped_monte_carlo_sample_fails_reproduce(self, monkeypatch, tmp_path, skipped):
+    @pytest.mark.parametrize("skipped, biased, want", [
+        pytest.param(0, False, [], id="0"),
+        pytest.param(1, False, ["mc_kd_mean", "mc_selfdual_mean"], id="1"),
+        pytest.param(0, True, ["mc_selfdual_mean"], id="bias"),
+    ])
+    def test_skipped_monte_carlo_sample_fails_reproduce(self, monkeypatch, tmp_path,
+                                                        skipped, biased, want):
         # each stubbed estimate sits on its Keller-Dykhne target, so only a
-        # skipped sample can fail the Monte Carlo gates
-        def estimate(d, L, dist, samples, seed):
+        # skipped sample, or a solver bias bound above 1% of the 3-stderr
+        # tolerance (3e-6 here; the self-dual run's when biased), can fail
+        # the Monte Carlo gates
+        def estimate(d, L, dist, samples, seed, tol):
             mean = math.sqrt(math.prod(dist.values()))
+            max_error = 3.3e-6 if biased and mean == 1.0 else 1e-6
             return SigmaEstimate(mean=mean, stderr=1e-4, samples=samples - skipped,
-                                 skipped=skipped)
+                                 skipped=skipped, max_error=max_error)
 
         monkeypatch.setattr(cli, "estimate_sigma_e", estimate)
         out = tmp_path / "report.json"
-        assert cli.main(["reproduce", "--output", str(out)]) == (3 if skipped else 0)
+        assert cli.main(["reproduce", "--output", str(out)]) == (3 if want else 0)
         checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
         failed = sorted(name for name, c in checks.items() if not c["pass"])
-        assert failed == (["mc_kd_mean", "mc_selfdual_mean"] if skipped else [])
+        assert failed == want
         assert checks["mc_kd_mean"]["skipped"] == checks["mc_selfdual_mean"]["skipped"] == skipped
+        assert checks["mc_selfdual_mean"]["max_error"] == (3.3e-6 if biased else 1e-6)
 
     def test_understated_remainder_bound_fails_reproduce(self, monkeypatch, tmp_path):
         # a zero bound is exceeded by every nonzero step between orders
