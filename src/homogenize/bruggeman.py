@@ -12,6 +12,7 @@ law's moments, with the sign of that term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,7 +83,16 @@ def solve_bruggeman(dist: DistributionSpec, d: int) -> BruggemanResult:
         return float(np.dot(p, (v - x) / (v + delta * x)))
 
     def fprime(x):
-        return float(np.dot(p, -d * v / (v + delta * x) ** 2))
+        # at an extreme scale the square over- or underflows for some atom, and
+        # the slope, 0 or infinite, would stop or steer Newton wrongly
+        with np.errstate(over="ignore", divide="ignore"):
+            slope = float(np.dot(p, -d * v / (v + delta * x) ** 2))
+        if slope == 0.0 or not math.isfinite(slope):
+            residual = f(x)
+            raise SolverError(f"Bruggeman slope f'({x:.3g}) = {slope:g}: the atoms' scale exceeds "
+                              f"float range (residual {residual:.3g})",
+                              residual=residual, iterations=iterations)
+        return slope
 
     vmin, vmax = float(v.min()), float(v.max())
     lo, hi = vmin, vmax

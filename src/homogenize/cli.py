@@ -521,7 +521,10 @@ def build_parser() -> _Parser:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # NaN or infinity, which JSON cannot hold
+        raise SolverError("the result is not finite (NaN or infinity); nothing written") from None
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, require_capacity
 
 #: (N, R) per dimension keeping the N^d grid small while meeting the
 #: accuracy targets of the test suite.
@@ -93,33 +93,25 @@ def build_kernel_table(d: int, N: int, R: int) -> KernelTable:
     build never holds the (N/2)^d grid.  Every table carries its quadrature
     defect, probed at a few sites against the same quadrature at 2N (again
     in slabs), so every error bar derived from it includes the quadrature
-    error.
-
-    Parameters
-    ----------
-    d : dimension, >= 2
-    N : quadrature points per axis, even and >= 8
-    R : sup-norm truncation radius of the stored site box, 1 <= R <= N/2 - 1
+    error.  It admits d >= 2, N quadrature points per axis, even and >= 8,
+    with N^d <= GRID_CAP (else CapacityError), and the sup-norm radius
+    1 <= R <= N/2 - 1 of the stored site box.
     """
+    _require_grid(d, N, R)
+    idx = np.arange(-R, R + 1)
+    values = {(a, b): _folded_sum(d, N, a, b, [idx] * d) for a, b in _BASE}
+    return KernelTable(d, N, R, values, _probe_quad_defect(d, N))
+
+
+def _require_grid(d: int, N: int, R: int) -> None:
+    """Refuse a (d, N, R) that `build_kernel_table` does not admit (CapacityError past GRID_CAP)."""
     if d < 2:
         raise ValueError("dimension must be >= 2")
     if N < 8 or N % 2 != 0:
         raise ValueError("resolution N must be even and >= 8")
-    if R < 1:
-        raise ValueError("truncation radius R must be >= 1")
-    if R > N // 2 - 1:
-        raise ValueError(f"R={R} too large for N={N} (need R <= N/2 - 1)")
-    if N**d > GRID_CAP:
-        n = int(GRID_CAP ** (1.0 / d)) + 1  # the float root can be off by one either way
-        while n**d > GRID_CAP or n % 2:
-            n -= 1
-        raise CapacityError(
-            f"N^d = {N**d:.3g} exceeds capacity {GRID_CAP:.3g}; feasible N <= {n} for d={d}"
-        )
-
-    idx = np.arange(-R, R + 1)
-    values = {(a, b): _folded_sum(d, N, a, b, [idx] * d) for a, b in _BASE}
-    return KernelTable(d, N, R, values, _probe_quad_defect(d, N))
+    if not 1 <= R <= N // 2 - 1:
+        raise ValueError(f"truncation radius R must be >= 1 and <= N/2 - 1, got R={R}, N={N}")
+    require_capacity("N", d, N, GRID_CAP, 8, step=2)
 
 
 def _axis_shape(n: int, d: int, ax: int) -> tuple[int, ...]:
@@ -191,8 +183,7 @@ def direct_quadrature(d: int, N: int, z, a: int, b: int) -> float:
     The one-site case of the box evaluation behind `build_kernel_table`:
     the same folded half-grid sum with one row per axis.
     """
-    if N % 2 != 0:
-        raise ValueError("resolution N must be even")
+    _require_grid(d, N, 1)
     return _folded_sum(d, N, a, b, [[int(c)] for c in z]).item()
 
 
@@ -345,9 +336,10 @@ def load_table(path) -> KernelTable:
     _, version, d, N, R, defect = _HEADER.unpack_from(data)
     if version != _VERSION:
         raise ValueError(f"unsupported kernel table version {version}")
-    # a header no build could write: N >= 8 and N^d <= GRID_CAP bound d
-    if not (2 <= d <= math.log(GRID_CAP, 8) and 1 <= R <= N // 2 - 1):
-        raise ValueError(f"corrupt kernel table header (d={d}, N={N}, R={R})")
+    try:
+        _require_grid(d, N, R)
+    except (ValueError, CapacityError):  # a header no build could write
+        raise ValueError(f"corrupt kernel table header (d={d}, N={N}, R={R})") from None
     shape = (len(_BASE),) + (2 * R + 1,) * d
     arrays = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
     if arrays.size != math.prod(shape):
@@ -367,12 +359,12 @@ def get_kernel_table(d: int, N: int | None = None, R: int | None = None) -> Kern
     without an entry must be given explicitly.  A missing, unreadable or
     mismatched cache file is rebuilt and overwritten.
     """
-    if N is None or R is None:
-        if d not in DEFAULTS:
-            raise ValueError(f"no default resolution for d={d}; pass N and R")
-        dn, dr = DEFAULTS[d]
-        N = N if N is not None else dn
-        R = R if R is not None else dr
+    if (N is None or R is None) and d not in DEFAULTS:
+        _require_grid(d, 8, 1)  # first, since some d admit no table at all
+        raise ValueError(f"no default resolution for d={d}; pass N and R")
+    N = DEFAULTS[d][0] if N is None else N
+    R = DEFAULTS[d][1] if R is None else R
+    _require_grid(d, N, R)
     path = cache_dir() / f"kernel_d{d}_N{N}_R{R}.bin"
     try:
         table = load_table(path)

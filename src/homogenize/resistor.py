@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distributions import DistributionSpec
-from .errors import CapacityError, SolverError
+from .errors import SolverError, require_capacity
 
 #: Hard cap on the L^d sites of a torus.  Solving a sample holds 10 to 16
 #: float64 per site at d = 1..5 (its conductances, the CG vectors, the
@@ -104,17 +104,7 @@ def _require_torus(d: int, L: int) -> None:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if L < 4:
         raise ValueError("torus side must be >= 4")
-    # in logs, since L**d can be too large to form; exact, as an integer L^d
-    # other than 2^22 is 3e-7 or more from it in log2, far above rounding
-    cap = math.log2(SITE_CAP)
-    if d * math.log2(L) > cap:
-        n = int(2 ** (cap / d)) + 1  # the float root can be off by one either way
-        while d * math.log2(n) > cap:
-            n -= 1
-        fits = f"feasible L <= {n}" if n >= 4 else "no L >= 4 fits"
-        raise CapacityError(
-            f"L^d = {L}^{d} exceeds capacity {SITE_CAP:.3g} sites; {fits} for d={d}"
-        )
+    require_capacity("L", d, L, SITE_CAP, 4)
 
 
 def sample_network(

@@ -82,6 +82,20 @@ class TestRoot:
         with pytest.raises(SolverError, match="did not reach"):
             solve_bruggeman(two_component(lo, hi), 2)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_slope_out_of_float_range_raises(self, d):
+        # atoms 1e-300 and 1e300: (v + (d-1) x)^2 underflows for the small atom
+        # where the 2D bisection ends (f' = -inf accepted any x there) and
+        # overflows for the large one at the 3D root (f' = 0, then a division
+        # by it); the root is refused with no numpy warning
+        with pytest.raises(SolverError, match="float range"):
+            solve_bruggeman(two_component(1e-300, 1e300), d)
+
+    def test_extreme_scale_within_float_range_solves(self):
+        # the 3D root of 1e-150 and 1e150 at p = 1/2 is 1e150 / 4 to ~1e-300
+        assert solve_bruggeman(two_component(1e-150, 1e150), 3).sigma_B == pytest.approx(
+            2.5e149, rel=1e-12)
+
     def test_high_contrast_root_within_tol(self):
         root = solve_bruggeman(two_component(1e-3, 1e3), 2)
         assert abs(root.sigma_B - 1.0) <= 1e-12

@@ -300,6 +300,26 @@ class TestExitCodes:
         argv = ["oracle", "--dim", "2", "--L", "8", "--samples", "2", "--dist", kd_file]
         assert cli.main(argv + ["--tol", "1e-13"]) == 0
 
+    @pytest.mark.parametrize("command, dim", [("bruggeman", "2"), ("compare", "3")])
+    def test_bruggeman_slope_out_of_float_range_is_3(self, capsys, tmp_path, command, dim):
+        path = tmp_path / "extreme.json"
+        write_law(path, two_component(1e-300, 1e300))
+        assert cli.main([command, "--dim", dim, "--dist", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "float range" in err
+
+    def test_non_finite_result_is_3_and_writes_nothing(self, capsys, tmp_path):
+        # 1e200 moments overflow the series to inf - inf = NaN, in Python floats only
+        path = tmp_path / "raw.json"
+        path.write_text('{"u_moments": [1e200, 1e200, 1e200, 1e200, 1e200], '
+                        '"mean": 1.0, "u0": 1e200}')
+        argv = ["expand", "--dim", "2", "--order", "6", "--dist", str(path)]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "not finite" in err
+        assert cli.main(argv + ["--output", str(tmp_path / "report.json")]) == 3
+        assert not (tmp_path / "report.json").exists()
+
     def test_bruggeman_root_hidden_by_rounding_is_3(self, capsys, tmp_path):
         path = tmp_path / "contrast.json"
         write_law(path, two_component(1e-12, 1e12))

@@ -18,6 +18,7 @@ from homogenize import (
     gamma,
     lattice_power_sum,
 )
+import homogenize.cli as cli
 import homogenize.kernel as kernel
 from homogenize.kernel import (
     DEFAULTS,
@@ -372,6 +373,32 @@ class TestValidationAndCapacity:
         with pytest.raises(ValueError, match="no default resolution for d=6"):
             get_kernel_table(6)
 
+    @pytest.mark.parametrize("d", [9, 40, 400])
+    def test_no_resolution_fits_past_d8(self, d, capsys):
+        # 8^8 = 2^24 is the last smallest grid within GRID_CAP; 8^400 is past float range
+        with pytest.raises(CapacityError, match=f"no N >= 8 fits for d={d}$"):
+            build_kernel_table(d, 8, 1)
+        assert cli.main(["kernel", "--dim", str(d), "--resolution", "8", "--radius", "1"]) == 3
+        assert f"no N >= 8 fits for d={d}" in capsys.readouterr().err
+
+    def test_oversized_quadrature_is_refused_before_allocating(self):
+        # at d=6, N=64 the folded sum would hold a 32^5 head and a 2-row slab
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="feasible N <= 16 for d=6$"):
+                direct_quadrature(6, 64, (1, 0, 0, 0, 0, 0), 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_get_kernel_table_checks_the_dimension_first(self):
+        with pytest.raises(ValueError) as built:
+            build_kernel_table(1, 8, 1)
+        with pytest.raises(ValueError) as got:
+            get_kernel_table(1)
+        assert str(got.value) == str(built.value) == "dimension must be >= 2"
+
     def test_low_dimension(self):
         with pytest.raises(ValueError):
             build_kernel_table(1, 64, 4)
@@ -522,6 +549,14 @@ class TestCache:
             }[damage])
         _assert_same_table(get_kernel_table(3, 16, 4), fresh)
         _assert_same_table(load_table(path), fresh)
+
+    def test_header_with_odd_resolution_is_corrupt(self, tmp_path):
+        path = tmp_path / "table.bin"
+        save_table(build_kernel_table(2, 16, 3), path)
+        data = path.read_bytes()
+        path.write_bytes(data[:12] + struct.pack("<I", 17) + data[16:])  # N, after d
+        with pytest.raises(ValueError, match=r"corrupt kernel table header \(d=2, N=17, R=3\)"):
+            load_table(path)
 
     def test_get_kernel_table_uses_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOMOGENIZE_CACHE_DIR", str(tmp_path))
