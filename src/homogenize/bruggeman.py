@@ -64,13 +64,14 @@ class ComparisonReport:
 def solve_bruggeman(dist: DistributionSpec, d: int) -> BruggemanResult:
     """Unique positive root of the self-consistency condition.
 
-    Works for d >= 1; at d = 1 the root is the harmonic mean.  Bisection
-    shrinks the bracket [min sigma, max sigma] to relative width 1e-3, then
-    Newton (clamped to the bracket) polishes until the root's error bound
-    (|f(x)| + rounding of f) / min |f'| over the bracket is at most _TOL * x.
-    A polish that has not met it after _NEWTON_STEPS steps raises
-    SolverError; at high contrast, where f' is tiny at the root, rounding
-    alone can keep the bound above _TOL.
+    Works for d >= 1.  At d = 1 the root is the harmonic mean, in closed
+    form and scaled by the smallest atom, so that no 1/sigma overflows.  For
+    d >= 2 bisection shrinks the bracket [min sigma, max sigma] to relative
+    width 1e-3, then Newton (clamped to the bracket) polishes until the
+    root's error bound (|f(x)| + rounding of f) / min |f'| over the bracket
+    is at most _TOL * x.  A polish that has not met it after _NEWTON_STEPS
+    steps raises SolverError; at high contrast, where f' is tiny at the
+    root, rounding alone can keep the bound above _TOL.
     """
     dist._require_atoms("solve_bruggeman")
     if d < 1:
@@ -99,6 +100,9 @@ def solve_bruggeman(dist: DistributionSpec, d: int) -> BruggemanResult:
     iterations = 0
     if lo == hi:
         return BruggemanResult(sigma_B=lo, xi=1.0, residual=f(lo), iterations=0)
+    if d == 1:  # f(x) = 1 - x <1/sigma>
+        x = vmin / float(np.dot(p, vmin / v))
+        return BruggemanResult(sigma_B=x, xi=x / float(np.dot(p, v)), residual=f(x), iterations=0)
 
     while (hi - lo) > _BISECT_REL_WIDTH * hi:
         mid = 0.5 * (lo + hi)
@@ -161,8 +165,6 @@ def compare(dist: DistributionSpec, d: int, constants: DimensionConstants) -> Co
     """
     if d < 2:
         raise ValueError("comparison requires d >= 2")
-    if constants.d != d:
-        raise ValueError(f"constants are for d={constants.d}, not d={d}")
     order = max_order(d)
     exact = coefficients(d, order, constants)
     brug = bruggeman_coefficients(d, order)

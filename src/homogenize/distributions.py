@@ -163,14 +163,24 @@ def moments(dist: DistributionSpec, max_order: int) -> Moments:
             )
         mom = (0.0,) + dist.raw_u_moments[: max_order - 1]
         return Moments(mean_sigma=float(dist.raw_mean), u_moments=mom, u0=float(dist.raw_u0))
-    v = dist.values()
-    p = dist.probs()
-    mean = float(np.dot(p, v))
-    u = v / mean - 1.0
-    mom = [0.0]  # <u> is zero by definition; never recomputed
-    for n in range(2, max_order + 1):
-        mom.append(float(np.dot(p, u**n)))
-    return Moments(mean_sigma=mean, u_moments=tuple(mom), u0=float(np.max(np.abs(u))))
+    mean, us, mom = _centred_moments(dist.values(), dist.probs(), max_order)
+    return Moments(mean_sigma=float(mean), u_moments=(0.0, *map(float, mom.values())),
+                   u0=float(max(map(abs, us))))
+
+
+def _centred_moments(values, probs, max_n: int) -> tuple:
+    """Mean, each atom's u = v / mean - 1 and {n: <u^n>}, n = 2..max_n, of the
+    atoms `values` with weights `probs`: the one moment routine.  It uses only
+    +, *, ** and /, so floats and power series in eps run the same code."""
+    mean = 0.0
+    for v, p in zip(values, probs):
+        mean = mean + v * p
+    us = [v / mean - 1.0 for v in values]
+    mom = dict.fromkeys(range(2, max_n + 1), 0.0)
+    for n in mom:
+        for u, p in zip(us, probs):
+            mom[n] = mom[n] + u**n * p
+    return mean, us, mom
 
 
 def dual(dist: DistributionSpec) -> DistributionSpec:
@@ -263,6 +273,9 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        return self * self._lift(other).reciprocal()
+
     def __pow__(self, k: int):
         out = PowerSeries.constant(1.0, self.order)
         base = self
@@ -307,40 +320,21 @@ class DualityProbe:
             raise ValueError("order must be even and within 2..8")
 
 
-def _eps_moments(values: list[PowerSeries], probs, max_moment: int):
-    """Mean series and <u^n> series, n = 2..max_moment, of an eps-family."""
-    order = values[0].order
-    mean = PowerSeries.constant(0.0, order)
-    for v, p in zip(values, probs):
-        mean = mean + v * p
-    inv_mean = mean.reciprocal()
-    us = [v * inv_mean - 1.0 for v in values]
-    mom = {}
-    for n in range(2, max_moment + 1):
-        acc = PowerSeries.constant(0.0, order)
-        for u, p in zip(us, probs):
-            acc = acc + (u**n) * p
-        mom[n] = acc
-    return mean, mom
-
-
 def _probe_series(p: float, alpha: float, order: int, max_moment: int) -> tuple:
-    """Mean and <u^n> eps-series, n = 2..max_moment, of the three-value family
-    1 - eps, 1 - alpha*eps, 1 (weights p, p, 1 - 2p) and of its reciprocals."""
+    """`_centred_moments` in eps-series, n = 2..max_moment, of the three-value
+    family 1 - eps, 1 - alpha*eps, 1 (weights p, p, 1 - 2p) and of its reciprocals."""
     one = PowerSeries.constant(1.0, order)
     eps = PowerSeries.variable(order)
     vals = [one - eps, one - alpha * eps, one]
     probs = [p, p, 1.0 - 2.0 * p]
-    return (
-        _eps_moments(vals, probs, max_moment),
-        _eps_moments([v.reciprocal() for v in vals], probs, max_moment),
-    )
+    return tuple(_centred_moments(law, probs, max_moment)
+                 for law in (vals, [v.reciprocal() for v in vals]))
 
 
 def _series_residual(series: tuple, coeff_map: dict) -> np.ndarray:
     """eps-coefficients of sigma_e({sigma}) * sigma_e({1/sigma}) - 1, from the
     `_probe_series` of a probe; its max_moment must cover coeff_map."""
-    (mean_a, mom_a), (mean_b, mom_b) = series
+    (mean_a, _, mom_a), (mean_b, _, mom_b) = series
     one = PowerSeries.constant(1.0, mean_a.order)
     sa = mean_a * moment_sum(coeff_map, mom_a.__getitem__, one)
     sb = mean_b * moment_sum(coeff_map, mom_b.__getitem__, one)

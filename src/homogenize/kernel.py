@@ -361,7 +361,7 @@ def get_kernel_table(d: int, N: int | None = None, R: int | None = None) -> Kern
     """
     if (N is None or R is None) and d not in DEFAULTS:
         _require_grid(d, 8, 1)  # first, since some d admit no table at all
-        raise ValueError(f"no default resolution for d={d}; pass N and R")
+        raise ValueError(f"no default resolution for d={d}; only d in {sorted(DEFAULTS)} have one")
     N = DEFAULTS[d][0] if N is None else N
     R = DEFAULTS[d][1] if R is None else R
     _require_grid(d, N, R)

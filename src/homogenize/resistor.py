@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, moments
 from .errors import SolverError, require_capacity
 
 #: Hard cap on the L^d sites of a torus.  Solving a sample holds 10 to 16
@@ -272,6 +272,9 @@ def solve_corrector(
     apply_p, apply_phi = (_laplacian(sig, v, q, scratch) for v in (p, phi))
     grad_phi = _diff_steps(phi, axis, scratch)
     rhs_norm = np.sqrt(_dot(r_, r_))
+    if not np.isfinite(rhs_norm):  # every residual ratio would be inf / inf
+        raise SolverError(f"the right-hand side's norm is {rhs_norm}: the conductances' scale "
+                          "exceeds float range", iterations=0)
 
     def certify() -> tuple[float, float]:
         """Energy estimate and its error bound at phi; leaves the true
@@ -348,11 +351,11 @@ def estimate_sigma_e(
     Each raw estimate sigma_i is corrected by its second-order perturbative
     estimate X_i = mean(s_i) - m + born_i / m (s_i the direction-1 bonds,
     m the law mean, born_i = -<b_i, Delta^+ b_i> / N), whose exact torus mean is
-    E[X] = -Var(c) (1 - L^-d) / (d m): the projection onto mean-zero fields
-    has trace L^d - 1, split evenly over the d directions.  `mean` and
-    `stderr` are taken over sigma_i - X_i + E[X], which has the same
-    expectation as sigma_i and a far smaller variance at low contrast.
-    `per_sample` keeps the raw sigma_i.
+    E[X] = -Var(c) (1 - L^-d) / (d m) = -m <u^2> (1 - L^-d) / d: the
+    projection onto mean-zero fields has trace L^d - 1, split evenly over
+    the d directions.  `mean` and `stderr` are taken over sigma_i - X_i +
+    E[X], which has the same expectation as sigma_i and a far smaller
+    variance at low contrast.  `per_sample` keeps the raw sigma_i.
 
     Each solve stops once its certified error is at most `tol` times its
     estimate (solve_corrector's stop="estimate"); `max_error` is the
@@ -362,7 +365,8 @@ def estimate_sigma_e(
     largest CG iteration count over the solved samples.
 
     Deterministic for a given seed.  Samples whose solve fails are skipped
-    and counted in `skipped`; the estimate is over the remaining ones.
+    and counted in `skipped`; the estimate is over the remaining ones.  With
+    fewer than two left it raises SolverError quoting the last failure.
     `tol` and the torus are checked, as by `solve_corrector` and
     `sample_network`, before any network is drawn.
     """
@@ -370,14 +374,19 @@ def estimate_sigma_e(
     _require_torus(d, L)
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    values, probs = dist.values(), dist.probs()
-    m = float(probs @ values)
-    mean_x = -float(probs @ (values - m) ** 2) * (1.0 - float(L) ** -d) / (d * m)
+    dist._require_atoms("estimate_sigma_e")
+    mom = moments(dist, 2)
+    m = mom.mean_sigma
+    mean_x = -m * mom.u_moment(2) * (1.0 - float(L) ** -d) / d
 
-    solved = [one for one in (_solve_sample(d, L, dist, seed, i, tol) for i in range(samples))
-              if one is not None]
+    solved, failure = [], ""
+    for i in range(samples):
+        try:
+            solved.append(_solve_sample(d, L, dist, seed, i, tol))
+        except SolverError as exc:
+            failure = f"; the last failure: {exc}"
     if len(solved) < 2:
-        raise SolverError(f"only {len(solved)} of {samples} samples solved")
+        raise SolverError(f"only {len(solved)} of {samples} samples solved{failure}")
     *columns, iterations = zip(*solved)
     raw, errors, s_means, borns = (np.array(column) for column in columns)
     # the median by hand: np.median's partition kernels add ~0.4 MB of resident code
@@ -397,14 +406,11 @@ def estimate_sigma_e(
 
 def _solve_sample(
     d: int, L: int, dist: DistributionSpec, seed: int, index: int, tol: float
-) -> tuple[float, float, float, float, int] | None:
+) -> tuple[float, float, float, float, int]:
     """(estimate, error, mean of the direction-1 bonds, born, CG iterations)
-    of one sample, None if its solve fails.  The network and the solution
-    are released on return, before the next sample is drawn."""
+    of one sample; a failed solve raises SolverError.  The network and the
+    solution are released on return, before the next sample is drawn."""
     net = sample_network(d, L, dist, seed, sample_index=index)
-    try:
-        sol = solve_corrector(net, tol=tol, stop="estimate")
-    except SolverError:
-        return None
+    sol = solve_corrector(net, tol=tol, stop="estimate")
     return (sol.estimate, sol.error, float(np.mean(net.conductances[0])), sol.born,
             sol.iterations)

@@ -65,6 +65,14 @@ class TestRoot:
         hm = 1.0 / (0.3 / 0.5 + 0.7 / 2.0)
         assert solve_bruggeman(dist, 1).sigma_B == pytest.approx(hm, rel=1e-12)
 
+    def test_1d_root_at_extreme_scale(self):
+        # the harmonic mean 2e-300 of atoms 1e+-300, whose 1/sigma overflows,
+        # in closed form with no numpy warning
+        root = solve_bruggeman(two_component(1e-300, 1e300), 1)
+        assert root.sigma_B == pytest.approx(2e-300, rel=1e-12)
+        assert root.iterations == 0
+        assert abs(root.residual) <= 1e-15
+
     def test_unconverged_polish_raises(self, monkeypatch):
         # below the spacing of floats near the root, Newton alternates
         # between neighbours and never meets tol

@@ -296,6 +296,32 @@ class TestExitCodes:
         assert cli.main(argv) == code
         assert message in capsys.readouterr().err
 
+    def test_oracle_rhs_overflow_is_3(self, capsys, tmp_path):
+        # atoms 1e+-300: every sample's right-hand side norm overflows, and the
+        # refusal says so
+        path = tmp_path / "extreme.json"
+        write_law(path, two_component(1e-300, 1e300))
+        argv = ["oracle", "--dim", "2", "--L", "4", "--samples", "3", "--dist", str(path)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "only 0 of 3 samples solved; the last failure: the right-hand side's norm" in err
+
+    def test_bruggeman_1d_at_extreme_scale_is_0(self, capsys, tmp_path):
+        path = tmp_path / "extreme.json"
+        write_law(path, two_component(1e-300, 1e300))
+        code, out = run(capsys, "bruggeman", "--dim", "1", "--dist", str(path))
+        assert code == 0
+        assert json.loads(out)["sigma_B"] == pytest.approx(2e-300, rel=1e-12)
+
+    @pytest.mark.parametrize("command", [["expand", "--order", "4"], ["compare"]])
+    def test_no_default_resolution_is_2(self, capsys, kd_file, command):
+        # expand and compare take no --resolution or --radius: no advice to pass them
+        argv = [command[0], "--dim", "7", *command[1:], "--dist", kd_file]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "no default resolution for d=7; only d in [2, 3, 4, 5] have one" in err
+        assert "pass N and R" not in err
+
     def test_oracle_tol_floor_is_accepted(self, capsys, kd_file):
         argv = ["oracle", "--dim", "2", "--L", "8", "--samples", "2", "--dist", kd_file]
         assert cli.main(argv + ["--tol", "1e-13"]) == 0

@@ -100,6 +100,25 @@ class TestMoments:
             dual(dist)
 
 
+class TestOneMomentRoutine:
+    @pytest.mark.parametrize("p, alpha", [(0.3, 2.0), (0.15, -2.0), (0.35, 0.5), (0.1, -0.7)])
+    def test_probe_series_sum_to_float_moments(self, p, alpha):
+        # the duality engine's eps-series, summed at eps, are the float moments
+        # of the probe law and of its dual; at eps = 1e-2 the float rounding
+        # of u = v / mean - 1 stays near 1e-14 relative, and truncation at
+        # eps^16 leaves eps^11 of <u^6>
+        eps, order = 1e-2, 16
+        powers = eps ** np.arange(order + 1)
+        law = three_value(eps, alpha, p)
+        for (mean, _, mom), ref in zip(dist_mod._probe_series(p, alpha, order, 6),
+                                       (law, dual(law))):
+            want = moments(ref, 6)
+            assert float(mean.c @ powers) == pytest.approx(want.mean_sigma, rel=1e-12, abs=0)
+            for n in range(2, 7):
+                assert float(mom[n].c @ powers) == pytest.approx(
+                    want.u_moment(n), rel=1e-12, abs=0)
+
+
 class TestMomentSum:
     def test_evaluate(self):
         mom = moments(two_component(1.0, 4.0), 5)

@@ -189,6 +189,14 @@ class TestCorrector:
             arith = np.mean(net.conductances)
             assert harm - 1e-12 <= sol.estimate <= arith + 1e-12
 
+    def test_overflowing_right_hand_side_is_refused(self):
+        # atoms 1e+-300: <b, b> overflows, and every residual ratio would be
+        # inf / inf, so the solve is refused before its first iteration
+        net = sample_network(2, 4, two_component(1e-300, 1e300), seed=0)
+        with pytest.raises(SolverError, match="norm is inf") as exc:
+            solve_corrector(net)
+        assert exc.value.iterations == 0
+
     def test_direction_validation(self):
         net = sample_network(2, 8, constant(1.0), seed=0)
         with pytest.raises(ValueError):
