@@ -54,6 +54,13 @@ def const_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def extreme_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dists") / "extreme.json"
+    write_law(path, two_component(1e-300, 1e300))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -296,20 +303,16 @@ class TestExitCodes:
         assert cli.main(argv) == code
         assert message in capsys.readouterr().err
 
-    def test_oracle_rhs_overflow_is_3(self, capsys, tmp_path):
+    def test_oracle_rhs_overflow_is_3(self, capsys, extreme_file):
         # atoms 1e+-300: every sample's right-hand side norm overflows, and the
         # refusal says so
-        path = tmp_path / "extreme.json"
-        write_law(path, two_component(1e-300, 1e300))
-        argv = ["oracle", "--dim", "2", "--L", "4", "--samples", "3", "--dist", str(path)]
+        argv = ["oracle", "--dim", "2", "--L", "4", "--samples", "3", "--dist", extreme_file]
         assert cli.main(argv) == 3
         err = capsys.readouterr().err
         assert "only 0 of 3 samples solved; the last failure: the right-hand side's norm" in err
 
-    def test_bruggeman_1d_at_extreme_scale_is_0(self, capsys, tmp_path):
-        path = tmp_path / "extreme.json"
-        write_law(path, two_component(1e-300, 1e300))
-        code, out = run(capsys, "bruggeman", "--dim", "1", "--dist", str(path))
+    def test_bruggeman_1d_at_extreme_scale_is_0(self, capsys, extreme_file):
+        code, out = run(capsys, "bruggeman", "--dim", "1", "--dist", extreme_file)
         assert code == 0
         assert json.loads(out)["sigma_B"] == pytest.approx(2e-300, rel=1e-12)
 

@@ -104,9 +104,9 @@ class TestOneMomentRoutine:
     @pytest.mark.parametrize("p, alpha", [(0.3, 2.0), (0.15, -2.0), (0.35, 0.5), (0.1, -0.7)])
     def test_probe_series_sum_to_float_moments(self, p, alpha):
         # the duality engine's eps-series, summed at eps, are the float moments
-        # of the probe law and of its dual; at eps = 1e-2 the float rounding
-        # of u = v / mean - 1 stays near 1e-14 relative, and truncation at
-        # eps^16 leaves eps^11 of <u^6>
+        # of the probe law and of its dual.  The float u = v / mean - 1 loses
+        # about 1e-16 / eps relative, which leaves these moments within 4e-13
+        # at eps = 1e-2; truncation at eps^16 leaves eps^11 of <u^6>
         eps, order = 1e-2, 16
         powers = eps ** np.arange(order + 1)
         law = three_value(eps, alpha, p)
